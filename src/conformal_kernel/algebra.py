@@ -39,6 +39,11 @@ class WindowEscape(Exception):
         super().__init__(f"outside rule window: {what}")
         self.what = what
 
+    def __reduce__(self):
+        # args hold the formatted message; rebuild from `what` instead, so a
+        # copy made by pickle (as from a worker process) reads the same
+        return type(self), (self.what,)
+
 
 class PreconditionFailed(Exception):
     """A constructor's precondition checker rejected its input."""
@@ -217,10 +222,6 @@ def const_lp(e: ModElement, context: tuple[str, ...] = ()) -> LambdaPoly:
     return LambdaPoly.of(context, e)
 
 
-def gen_lp(g: GenIndex, context: tuple[str, ...] = ()) -> LambdaPoly:
-    return LambdaPoly.of(context, ModElement.of(g))
-
-
 def eval_op(rule: StructureRule, a: ModElement, b: ModElement, var: str = L) -> LambdaPoly:
     """a op_var b for plain module elements."""
     return pair(rule, const_lp(a), const_lp(b), var)
@@ -273,14 +274,16 @@ def run_tuple_check(name: str, tuples: Iterable[tuple],
         if not r.is_zero():
             if len(witnesses) < MAX_WITNESSES:
                 witnesses.append((t, r))
+    return CheckReport(name, sweep_status(witnesses, escaped), witnesses, checked, escaped,
+                       list(notes))
+
+
+def sweep_status(witnesses, escaped: int) -> str:
+    """A witness fails the sweep; otherwise any escaped tuple leaves it
+    inconclusive."""
     if witnesses:
-        status = FAIL
-    elif escaped and checked == 0:
-        status = INCONCLUSIVE
-    else:
-        status = PASS if not escaped else INCONCLUSIVE
-    report = CheckReport(name, status, witnesses, checked, escaped, list(notes))
-    return report
+        return FAIL
+    return INCONCLUSIVE if escaped else PASS
 
 
 # ---------------------------------------------------------------------------

@@ -25,19 +25,24 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import os
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterable, Sequence
 
 from .algebra import (
     CheckReport,
     ConformalAlgebra,
     FAIL,
+    MAX_WITNESSES,
     PASS,
     StructureRule,
     UnboundedAnsatz,
     WindowEscape,
     const_lp,
     pair,
+    run_tuple_check,
+    sweep_status,
 )
 from .constructors import ConformalModule
 from .linalg import solve_exact
@@ -119,10 +124,6 @@ class Cochain:
 def zero_cochain(m: int, n: int) -> Cochain:
     ctx = canon_vars(m + n - 1)
     return Cochain(m, n, lambda gens: LambdaPoly.zero(ctx))
-
-
-def cochain_from_rule(m: int, n: int, rule) -> Cochain:
-    return Cochain(m, n, rule)
 
 
 def linear_cochain(fn: Callable[[GenIndex], ModElement | None]) -> Cochain:
@@ -423,10 +424,6 @@ def cochain_zero_on(coch: Cochain, tuples: Iterable[tuple[GenIndex, ...]]) -> bo
     return all(coch.value(t).is_zero() for t in tuples)
 
 
-def cochains_equal_on(c1: Cochain, c2: Cochain, tuples) -> bool:
-    return all(c1.value(t) == c2.value(t) for t in tuples)
-
-
 def is_cocycle(P: ConformalAlgebra, V: ConformalModule, graded: Graded,
                window_tuples: Callable[[int], list[tuple[GenIndex, ...]]],
                degree0: ModElement | None = None) -> CheckReport:
@@ -625,95 +622,123 @@ def fgv_bidegrees(max_degree: int) -> list[tuple[int, int]]:
     return sorted(set(out))
 
 
+# Units of the running check_complex_identities call, reached by forked
+# workers through inheritance: closures over algebras do not pickle.
+_UNITS: list[Callable[[], CheckReport]] = []
+
+
+def _run_unit(i: int) -> CheckReport:
+    return _UNITS[i]()
+
+
+def _run_units(units: list[Callable[[], CheckReport]], weights: list[int]) -> list[CheckReport]:
+    """The results of the zero-argument `units`, in unit order.
+
+    With two or more usable cores the units run in a pool of forked
+    workers, heaviest first; only unit indices go out and only results come
+    back.  They run here, in order, with one core or one unit, without
+    `fork`, in a daemonic process (which may not start children), and when
+    the process has other threads: a forked child holds a copy of their
+    locks but not the threads that would release them."""
+    global _UNITS
+    affinity = getattr(os, "sched_getaffinity", None)
+    workers = min(len(affinity(0)) if affinity else 1, len(units))
+    if workers < 2:
+        return [u() for u in units]
+    import multiprocessing  # here, not at import: it costs every command ~9 ms
+    import threading
+
+    if ("fork" not in multiprocessing.get_all_start_methods()
+            or multiprocessing.current_process().daemon or threading.active_count() > 1):
+        return [u() for u in units]
+    order = sorted(range(len(units)), key=lambda i: -weights[i])
+    _UNITS = units
+    try:
+        with multiprocessing.get_context("fork").Pool(workers) as pool:
+            done = dict(zip(order, pool.imap(_run_unit, order, chunksize=1)))
+    finally:
+        _UNITS = []
+    return [done[i] for i in range(len(units))]
+
+
+def _sweep(si: int, cases) -> CheckReport:
+    """One sample's sweep over (tag, residual on a tuple, tuples) cases; a
+    witness is keyed (tag, si) + tuple."""
+    residual = {tag: fn for tag, fn, _tuples in cases}
+    return run_tuple_check("", ((tag, si) + t for tag, _fn, tuples in cases for t in tuples),
+                           lambda tag, _si, *t: residual[tag](t))
+
+
 def check_complex_identities(P: ConformalAlgebra, V: ConformalModule,
                              samples: int = 20, seed: int = 0, max_degree: int = 4,
                              tuples_per_sample: int = 2, d_max: int = 2) -> list[CheckReport]:
     """Randomized exact verification of the differential identities:
     d_ce^2 = 0, d_h^2 = 0, both mixed commuting squares, and the square of
-    the total differential, per bidegree up to `max_degree`."""
-    reports = []
+    the total differential, per bidegree up to `max_degree`.
+
+    Every (section, bidegree, sample) is an independent unit with its own
+    seeded cochain and tuples.  The units may run on several cores; each
+    section sums its units' counts and keeps the first witnesses in unit
+    order, so the reports do not depend on the number of cores.  A tuple
+    whose evaluation escapes a rule window counts as escaped."""
     bidegs = fgv_bidegrees(max_degree)
 
-    for (m, n) in bidegs:
-        witnesses = []
-        checked = 0
-        l_max = 2 if m + n <= 3 else 1  # keeps the largest bidegrees tractable
-        for si in range(samples):
-            gamma = random_cochain(m, n, seed=seed * 100003 + si * 17 + m * 7 + n,
-                                   d_max=d_max, l_max=l_max)
-            tuples2 = random_gen_tuples(m + n + 2, tuples_per_sample, seed + si + 1)
+    def l_max(m, n):
+        return 2 if m + n <= 3 else 1  # keeps the largest bidegrees tractable
 
-            dd = d_ce(P, V, d_ce(P, V, gamma))
-            for t in tuples2:
-                checked += 1
-                v = dd.value(t)
-                if not v.is_zero() and len(witnesses) < 4:
-                    witnesses.append(((("d_ce2", m, n), si) + t, v))
+    def square(tag, si, gamma, tuples):
+        lhs = d_h(P, V, d_ce(P, V, gamma))
+        rhs = d_ce(P, V, d_h(P, V, gamma))
+        return _sweep(si, [(tag, lambda t: lhs.value(t) - rhs.value(t), tuples)])
 
-            if n >= 1 or m >= 1:
-                g1 = gamma if n >= 1 else gamma.retag(m - 1, 1)
-                dd = d_h(P, V, d_h(P, V, g1))
-                for t in tuples2:
-                    checked += 1
-                    v = dd.value(t)
-                    if not v.is_zero() and len(witnesses) < 4:
-                        witnesses.append(((("d_h2", m, n), si) + t, v))
-        reports.append(CheckReport(f"d2_zero_({m},{n})", FAIL if witnesses else PASS,
-                                   witnesses, checked, 0))
+    def d2(m, n, si):
+        gamma = random_cochain(m, n, seed=seed * 100003 + si * 17 + m * 7 + n,
+                               d_max=d_max, l_max=l_max(m, n))
+        tuples = random_gen_tuples(m + n + 2, tuples_per_sample, seed + si + 1)
+        g1 = gamma if n >= 1 else gamma.retag(m - 1, 1)
+        return _sweep(si, [(("d_ce2", m, n), d_ce(P, V, d_ce(P, V, gamma)).value, tuples),
+                           (("d_h2", m, n), d_h(P, V, d_h(P, V, g1)).value, tuples)])
 
-    # commuting squares
-    sq_witnesses = []
-    sq_checked = 0
-    for m in (1, 2, 3):
-        for si in range(samples):
-            gamma = random_cochain(m, 0, seed=seed * 31 + si * 5 + m,
-                                   l_max=2 if m <= 3 else 1)
-            lhs = d_h(P, V, d_ce(P, V, gamma))
-            rhs = d_ce(P, V, d_h(P, V, gamma))
-            for t in random_gen_tuples(m + 2, tuples_per_sample, seed + 7 * si + m):
-                sq_checked += 1
-                v = lhs.value(t) - rhs.value(t)
-                if not v.is_zero() and len(sq_witnesses) < 4:
-                    sq_witnesses.append(((("square_bottom", m), si) + t, v))
-    reports.append(CheckReport("square_dh_dce_bottom_row", FAIL if sq_witnesses else PASS,
-                               sq_witnesses, sq_checked, 0))
+    def bottom(m, si):
+        gamma = random_cochain(m, 0, seed=seed * 31 + si * 5 + m, l_max=l_max(m, 0))
+        tuples = random_gen_tuples(m + 2, tuples_per_sample, seed + 7 * si + m)
+        return square(("square_bottom", m), si, gamma, tuples)
 
-    sq_witnesses = []
-    sq_checked = 0
-    for (m, n) in [(0, 2), (0, 3), (2, 2)]:
-        for si in range(samples):
-            gamma = random_cochain(m, n, seed=seed * 57 + si * 3 + m + 11 * n,
-                                   l_max=2 if m + n <= 3 else 1)
-            lhs = d_h(P, V, d_ce(P, V, gamma))
-            rhs = d_ce(P, V, d_h(P, V, gamma))
-            for t in random_gen_tuples(m + n + 2, tuples_per_sample, seed + 13 * si + n):
-                sq_checked += 1
-                v = lhs.value(t) - rhs.value(t)
-                if not v.is_zero() and len(sq_witnesses) < 4:
-                    sq_witnesses.append(((("square_inner", m, n), si) + t, v))
-    reports.append(CheckReport("square_dh_dce_inner", FAIL if sq_witnesses else PASS,
-                               sq_witnesses, sq_checked, 0))
+    def inner(m, n, si):
+        gamma = random_cochain(m, n, seed=seed * 57 + si * 3 + m + 11 * n, l_max=l_max(m, n))
+        tuples = random_gen_tuples(m + n + 2, tuples_per_sample, seed + 13 * si + n)
+        return square(("square_inner", m, n), si, gamma, tuples)
 
-    # total differential squares to zero
-    t_witnesses = []
-    t_checked = 0
-    for (m, n) in bidegs:
-        if m + n > max_degree - 1:
-            continue
-        for si in range(samples):
-            gamma = random_cochain(m, n, seed=seed * 91 + si * 29 + 3 * m + n,
-                                   l_max=2 if m + n <= 3 else 1)
-            once = d_total(P, V, {(m, n): gamma})
-            twice = d_total(P, V, once)
-            for key in sorted(twice):
-                coch = twice[key]
-                for t in random_gen_tuples(coch.slots, 1, seed + si + key[0] * 5 + key[1]):
-                    t_checked += 1
-                    v = coch.value(t)
-                    if not v.is_zero() and len(t_witnesses) < 4:
-                        t_witnesses.append(((("d_total2", m, n, key), si) + t, v))
-    reports.append(CheckReport("d_total_squared_zero", FAIL if t_witnesses else PASS,
-                               t_witnesses, t_checked, 0))
+    def total(m, n, si):
+        gamma = random_cochain(m, n, seed=seed * 91 + si * 29 + 3 * m + n, l_max=l_max(m, n))
+        twice = d_total(P, V, d_total(P, V, {(m, n): gamma}))
+        return _sweep(si, [(("d_total2", m, n, key), twice[key].value,
+                            random_gen_tuples(twice[key].slots, 1, seed + si + key[0] * 5 + key[1]))
+                           for key in sorted(twice)])
+
+    # (report name, its units as (weight, unit)); the weight is the slot
+    # count of the composed differential's image
+    sections = [(f"d2_zero_({m},{n})",
+                 [(m + n + 2, partial(d2, m, n, si)) for si in range(samples)])
+                for (m, n) in bidegs]
+    sections.append(("square_dh_dce_bottom_row",
+                     [(m + 2, partial(bottom, m, si)) for m in (1, 2, 3) for si in range(samples)]))
+    sections.append(("square_dh_dce_inner",
+                     [(m + n + 2, partial(inner, m, n, si))
+                      for (m, n) in [(0, 2), (0, 3), (2, 2)] for si in range(samples)]))
+    sections.append(("d_total_squared_zero",
+                     [(m + n + 2, partial(total, m, n, si))
+                      for (m, n) in bidegs if m + n <= max_degree - 1 for si in range(samples)]))
+
+    units = [u for _name, us in sections for u in us]
+    results = iter(_run_units([u for _w, u in units], [w for w, _u in units]))
+    reports = []
+    for name, us in sections:
+        parts = [next(results) for _ in us]
+        witnesses = [w for r in parts for w in r.witnesses][:MAX_WITNESSES]
+        escaped = sum(r.escaped for r in parts)
+        reports.append(CheckReport(name, sweep_status(witnesses, escaped), witnesses,
+                                   sum(r.checked for r in parts), escaped))
     return reports
 
 
@@ -727,9 +752,12 @@ def check_action_module_laws(P: ConformalAlgebra, V: ConformalModule,
       identity x_lam(Dt gamma) = (Dt+lam)(x_lam gamma), which FAILS with the
       exact structural defect lam * {a_1...[x_lam a_n]}_gamma, and the
       engine-derived identity carrying that defect term, which holds exactly.
+
+    A tuple on which any law escapes a rule window counts as escaped for
+    all four laws.
     """
     wit = {"sesqui": [], "bracket": [], "dtilde_bare": [], "dtilde_corrected": []}
-    checked = 0
+    checked = escaped = 0
     fam = "x"
     lam, mu = "·L", "·M"
     for si in range(samples):
@@ -743,29 +771,21 @@ def check_action_module_laws(P: ConformalAlgebra, V: ConformalModule,
         act_dx = hochschild_module_action(P, V, x.d_apply(1), gamma, lam)
         act_x_dt = hochschild_module_action(P, V, x, cochain_dtilde(gamma), lam)
 
-        for t in tuples2:
+        def residuals(t):
             base = act_x.value(t)
-            checked += 4
             # sesquilinearity in the acting element
             v1 = act_dx.value(t) + base.mul_var(lam)
-            if not v1.is_zero() and len(wit["sesqui"]) < 4:
-                wit["sesqui"].append(((si,) + t, v1))
 
             # bare D-compatibility
             lhs = act_x_dt.value(t)
             rhs = multi_shifted_action(base, gamma.context, 1) + base.mul_var(lam)
             v2 = lhs - rhs
-            if not v2.is_zero() and len(wit["dtilde_bare"]) < 4:
-                wit["dtilde_bare"].append(((si,) + t, v2))
 
             # D-compatibility with the defect term lam * gamma(a_1,...,[x_lam a_n])
             B = pair(P.bracket, const_lp(x), const_lp(ModElement.of(t[-1])), lam)
             args = _gen_args(t[:-1], B.context) + [B]
             defect = eval_cochain(gamma, args, list(canon_vars(n - 1)))
             defect = defect.align(gamma.context + (lam,)).mul_var(lam)
-            v2c = v2 - defect
-            if not v2c.is_zero() and len(wit["dtilde_corrected"]) < 4:
-                wit["dtilde_corrected"].append(((si,) + t, v2c))
 
             # the bracket law
             w = pair(P.bracket, const_lp(x), const_lp(y), lam)
@@ -778,11 +798,22 @@ def check_action_module_laws(P: ConformalAlgebra, V: ConformalModule,
                 P, V, hochschild_module_action(P, V, x, gamma, lam), const_lp(y), mu, t)
             full = (lam, mu) + gamma.context
             v3 = lhs3 - xy.align(full) + yx.align(full)
-            if not v3.is_zero() and len(wit["bracket"]) < 4:
-                wit["bracket"].append(((si,) + t, v3))
+            return {"sesqui": v1, "dtilde_bare": v2, "dtilde_corrected": v2 - defect,
+                    "bracket": v3}
+
+        for t in tuples2:
+            try:
+                got = residuals(t)
+            except WindowEscape:
+                escaped += 1
+                continue
+            checked += 1
+            for key, v in got.items():
+                if not v.is_zero() and len(wit[key]) < MAX_WITNESSES:
+                    wit[key].append(((si,) + t, v))
 
     def rep(name, key, notes=()):
-        return CheckReport(name, FAIL if wit[key] else PASS, wit[key], checked // 4, 0,
+        return CheckReport(name, sweep_status(wit[key], escaped), wit[key], checked, escaped,
                            list(notes))
 
     return [

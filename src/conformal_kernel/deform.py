@@ -117,11 +117,6 @@ class DeformationSeries:
                                 kind=KIND_NC_POISSON)
 
 
-def series_from_rules(alg: ConformalAlgebra,
-                      rules: Sequence[StructureRule]) -> DeformationSeries:
-    return DeformationSeries(alg, list(rules))
-
-
 def _convolution_residual(ds: DeformationSeries, n: int, a, b, c) -> LambdaPoly:
     """sum_{r+s=n} {a_L {b_M c}_{mu_s}}_{mu_r} - {{a_L b}_{mu_s}_{L+M} c}_{mu_r}."""
     A, B, C = const_lp(a), const_lp(b), const_lp(c)

@@ -1,4 +1,5 @@
 import itertools
+import pickle
 import random
 from fractions import Fraction as Q
 
@@ -10,6 +11,7 @@ from conformal_kernel.algebra import (
     GenFamily,
     LinearRule,
     StructureRule,
+    WindowEscape,
     check_associativity,
     check_commutativity,
     check_jacobi,
@@ -246,3 +248,13 @@ class TestPerturbation:
         alg2 = ConformalAlgebra("bad", alg.families, product=alg.product, bracket=bad, kind="poisson")
         reports = check_poisson(alg2, window=2)
         assert any(r.status == "fail" for r in reports)
+
+
+class TestWindowEscape:
+    def test_pickle_round_trip_keeps_what_and_message(self):
+        # an escape raised in a worker process reaches the caller by pickle
+        e = WindowEscape(("product", xg(3), xg(1)))
+        back = pickle.loads(pickle.dumps(e))
+        assert type(back) is WindowEscape
+        assert back.what == e.what
+        assert str(back) == str(e) == "outside rule window: ('product', x[3], x[1])"

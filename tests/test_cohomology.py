@@ -1,4 +1,7 @@
 import itertools
+import multiprocessing
+import os
+import threading
 
 import pytest
 
@@ -31,7 +34,11 @@ from conformal_kernel.constructors import (
     from_derivation,
     ord_table,
 )
+from conformal_kernel.manifest import parse_file
+from conformal_kernel.report import render_reports
 from conformal_kernel.symcore import DPoly, GenIndex, LambdaPoly, ModElement, Q, gen
+
+DEMOS = os.path.join(os.path.dirname(__file__), "..", "demos")
 
 
 def xg(m):
@@ -123,6 +130,55 @@ class TestComplexIdentities:
         rhs = d_ce(P, badV, d_h(P, badV, gamma))
         diffs = [lhs.value(t) - rhs.value(t) for t in tuples_for(4, 6, seed=11)]
         assert any(not d.is_zero() for d in diffs)
+
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="the pooled path needs the fork start method")
+    def test_pool_and_serial_reports_are_identical(self, monkeypatch):
+        # the swapped control fails every section with witnesses, so the
+        # merge order of witnesses across units is exercised too
+        P = parse_file(os.path.join(DEMOS, "ex2_17_swapped.alg")).algebra()
+        V = adjoint_module(P)
+        real_get_context = multiprocessing.get_context
+
+        def run(cores):
+            pools = []
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cores)
+            monkeypatch.setattr(multiprocessing, "get_context",
+                                lambda method=None: pools.append(method)
+                                or real_get_context(method))
+            reports = check_complex_identities(P, V, samples=2, seed=0, max_degree=3)
+            return reports, pools
+
+        pooled, pools = run({0, 1})
+        assert pools == ["fork"]
+        serial, pools = run({0})
+        assert pools == []
+        assert len(pooled) == 9
+        assert all(r.status == "fail" and r.witnesses for r in pooled)
+        for a, b in zip(pooled, serial, strict=True):
+            assert (a.name, a.status, a.checked, a.escaped) == \
+                (b.name, b.status, b.checked, b.escaped)
+            assert [k for k, _ in a.witnesses] == [k for k, _ in b.witnesses]
+            assert [v for _, v in a.witnesses] == [v for _, v in b.witnesses]
+        assert render_reports("cohomology", P.name, pooled, {}) == \
+            render_reports("cohomology", P.name, serial, {})
+
+    def test_no_fork_beside_other_threads(self, monkeypatch):
+        # a forked child would copy locks that the caller's other threads hold
+        P = parse_file(os.path.join(DEMOS, "ex2_17_swapped.alg")).algebra()
+        V = adjoint_module(P)
+        pools, out = [], []
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(multiprocessing, "get_context",
+                            lambda method=None: pools.append(method))
+        worker = threading.Thread(target=lambda: out.append(
+            check_complex_identities(P, V, samples=1, seed=0, max_degree=2)))
+        worker.start()
+        worker.join(timeout=120)
+        assert not worker.is_alive()
+        assert pools == []
+        assert len(out[0]) == 6 and sum(r.checked for r in out[0]) > 0
 
 
 class TestSymmetry:

@@ -174,3 +174,26 @@ class TestInconclusiveExit:
         path.write_text(text)
         code = main(["check", str(path), "--window", "2"])
         assert code == 2
+
+    def test_cohomology_escapes_are_counted_not_raised(self, tmp_path, capsys):
+        # capping the family at x[3] makes the random cochains and the module
+        # action reach outside the rule window; every such tuple is counted
+        # as escaped instead of raising
+        with open(os.path.join(DEMOS, "ex2_17.alg"), encoding="utf-8") as fh:
+            text = fh.read()
+        assert "family x arity 1 min 0\n" in text
+        path = tmp_path / "ex2_17_capped.alg"
+        path.write_text(text.replace("family x arity 1 min 0\n",
+                                     "family x arity 1 min 0 max 3\n"))
+        code = main(["cohomology", str(path), "--d2-samples", "2"])
+        checks = [line for line in capsys.readouterr().out.splitlines()
+                  if line.startswith("[check]")]
+        status = {line.split()[1][5:]: line.split()[2][7:] for line in checks}
+        assert len(status) == 17
+        assert all("escaped=0" not in line for line in checks)
+        # the bare D-compatibility law fails on the tuples it checks, by
+        # design (criterion 5b), so the run exits 1; everything else is
+        # inconclusive, which alone would exit 2
+        assert status.pop("action_dtilde_bare_law") == "fail"
+        assert set(status.values()) == {"inconclusive"}
+        assert code == 1
