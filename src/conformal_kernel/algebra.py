@@ -23,7 +23,6 @@ from .symcore import (
     GenIndex,
     LambdaPoly,
     ModElement,
-    Q,
     shifted_action,
 )
 
@@ -218,6 +217,13 @@ def pair(rule: StructureRule, U: LambdaPoly, W: LambdaPoly, var: str) -> LambdaP
     return acc.build()
 
 
+def pair_at(rule: StructureRule, U: LambdaPoly, W: LambdaPoly,
+            form: tuple[dict[str, int], int], ctx: tuple[str, ...]) -> LambdaPoly:
+    """U op_f W at a linear form f = ({v: c_v}, d), read as in subst_many,
+    in the variables of ctx; ctx holds U's context and is the result's."""
+    return pair(rule, U, W, "·f").align(ctx + ("·f",)).subst_many({"·f": form})
+
+
 def const_lp(e: ModElement, context: tuple[str, ...] = ()) -> LambdaPoly:
     return LambdaPoly.of(context, e)
 
@@ -225,6 +231,36 @@ def const_lp(e: ModElement, context: tuple[str, ...] = ()) -> LambdaPoly:
 def eval_op(rule: StructureRule, a: ModElement, b: ModElement, var: str = L) -> LambdaPoly:
     """a op_var b for plain module elements."""
     return pair(rule, const_lp(a), const_lp(b), var)
+
+
+# The three terms every associator-type identity is a signed sum of, in the
+# context (L, M).  Each takes the value of the inner operation, so that
+# dagger-paired inner values fit as well as plain ones.
+
+def inner_first(rule: StructureRule, X: LambdaPoly, V: LambdaPoly) -> LambdaPoly:
+    """{X_L V} for an inner value V = {Y_M Z} in context (M,)."""
+    return pair(rule, X.align((M,)), V, L).align((L, M))
+
+
+def outer_first(rule: StructureRule, V: LambdaPoly, Z: LambdaPoly) -> LambdaPoly:
+    """{V_{L+M} Z} for an inner value V = {X_L Y} in context (L,); a value in
+    (M,), such as a dagger pairing, is taken the same way."""
+    return pair_at(rule, V, Z.align(V.context), ({L: 1, M: 1}, 0), (L, M))
+
+
+def swapped(rule: StructureRule, Y: LambdaPoly, V: LambdaPoly) -> LambdaPoly:
+    """{Y_M V} for an inner value V = {X_L Z} in context (L,)."""
+    return pair(rule, Y.align((L,)), V, M)
+
+
+def stack_rows(rows: Sequence[LambdaPoly]) -> LambdaPoly:
+    """Several residual rows of one context as one value: row k times
+    ·r^k for a marker variable ·r, zero exactly when every row is."""
+    ctx = rows[0].context + ("·r",)
+    acc = Accumulator(ctx)
+    for k, row in enumerate(rows):
+        acc.add_lp(row.align(ctx).mul_var("·r", k))
+    return acc.build()
 
 
 # ---------------------------------------------------------------------------
@@ -328,36 +364,27 @@ class ConformalAlgebra:
 
 def _triple_assoc_residual(prod: StructureRule, a, b, c) -> LambdaPoly:
     A, B, C = const_lp(a), const_lp(b), const_lp(c)
-    inner = pair(prod, B, C, M)
-    lhs = pair(prod, A.align((M,)), inner, L).align((L, M))
-    p1 = pair(prod, A, B, L)
-    rhs = pair(prod, p1, C.align((L,)), "·t")
-    rhs = rhs.align((L, M, "·t")).subst_linear("·t", {L: 1, M: 1})
-    return lhs - rhs
+    return (inner_first(prod, A, pair(prod, B, C, M))
+            - outer_first(prod, pair(prod, A, B, L), C))
 
 
 def _pair_comm_residual(prod: StructureRule, sign: int, a, b) -> LambdaPoly:
-    lhs = eval_op(prod, a, b, L)
-    swapped = eval_op(prod, b, a, "·t").subst_dagger((L,))
-    return lhs - swapped.scale(sign)
+    A, B = const_lp(a), const_lp(b)
+    return pair(prod, A, B, L) - pair_at(prod, B, A, ({L: -1}, -1), (L,)).scale(sign)
 
 
 def _triple_jacobi_residual(br: StructureRule, a, b, c) -> LambdaPoly:
     A, B, C = const_lp(a), const_lp(b), const_lp(c)
-    lhs = pair(br, A.align((M,)), pair(br, B, C, M), L).align((L, M))
-    t1 = pair(br, pair(br, A, B, L), C.align((L,)), "·t")
-    t1 = t1.align((L, M, "·t")).subst_linear("·t", {L: 1, M: 1})
-    t2 = pair(br, B.align((L,)), pair(br, A, C, L), M).align((L, M))
-    return lhs - t1 - t2
+    return (inner_first(br, A, pair(br, B, C, M))
+            - outer_first(br, pair(br, A, B, L), C)
+            - swapped(br, B, pair(br, A, C, L)))
 
 
 def _triple_leibniz_residual(prod: StructureRule, br: StructureRule, a, b, c) -> LambdaPoly:
     A, B, C = const_lp(a), const_lp(b), const_lp(c)
-    lhs = pair(br, A.align((M,)), pair(prod, B, C, M), L).align((L, M))
-    t1 = pair(prod, pair(br, A, B, L), C.align((L,)), "·t")
-    t1 = t1.align((L, M, "·t")).subst_linear("·t", {L: 1, M: 1})
-    t2 = pair(prod, B.align((L,)), pair(br, A, C, L), M).align((L, M))
-    return lhs - t1 - t2
+    return (inner_first(br, A, pair(prod, B, C, M))
+            - outer_first(prod, pair(br, A, B, L), C)
+            - swapped(prod, B, pair(br, A, C, L)))
 
 
 def _mods(gens: list[GenIndex]) -> list[ModElement]:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable
 
 from .algebra import (
     CheckReport,
@@ -26,6 +25,7 @@ from .algebra import (
     StructureRule,
     WindowEscape,
     run_tuple_check,
+    stack_rows,
 )
 from .symcore import GenIndex, LambdaPoly, ModElement, Q, gen_binom, qify
 
@@ -152,11 +152,23 @@ class CoeffAlgebra:
         self._ops[key] = out
         return out
 
-    def _bilinear(self, rule: StructureRule, u: CoeffElement, v: CoeffElement) -> CoeffElement:
-        out = CoeffElement.zero()
+    def _accumulate(self, out: dict[Mode, Q], rule: StructureRule, u: CoeffElement,
+                    v: CoeffElement, sign: int = 1):
+        """out += sign * rule(u, v) on the term map of a coefficient element;
+        entries that cancel are removed."""
         for (g1, m), c1 in u.terms.items():
             for (g2, n), c2 in v.terms.items():
-                out = out + self._basis_op(rule, g1, m, g2, n).scale(c1 * c2)
+                c = sign * c1 * c2
+                for k, x in self._basis_op(rule, g1, m, g2, n).terms.items():
+                    nv = out.get(k, 0) + c * x
+                    if nv:
+                        out[k] = nv
+                    else:
+                        out.pop(k, None)
+
+    def _bilinear(self, rule: StructureRule, u: CoeffElement, v: CoeffElement) -> CoeffElement:
+        out = CoeffElement()
+        self._accumulate(out.terms, rule, u, v)
         return out
 
     def bracket(self, u: CoeffElement, v: CoeffElement) -> CoeffElement:
@@ -194,103 +206,62 @@ def _as_report_value(e: CoeffElement) -> LambdaPoly:
 
 def check_coeff_poisson(alg: ConformalAlgebra, window: ModeWindow) -> list[CheckReport]:
     """Ordinary Poisson axioms of Coeff P over all basis mode tuples in the
-    window.  Residuals accumulate in plain dicts; witnesses are wrapped into
-    report polynomials only when nonzero."""
+    window.  Each residual accumulates in one coefficient element; witnesses
+    are wrapped into report polynomials only when nonzero."""
     ca = CoeffAlgebra(alg)
     gens = alg.generators(window.gen_window)
-    basis = [(g, n) for g in gens for n in window.modes()]
+    elem = {(g, n): CoeffElement.of(g, n) for g in gens for n in window.modes()}
     commutative = alg.kind in ("poisson", "commutative")
-    B = ca._basis_op
+    acc, B = ca._accumulate, ca._basis_op
     br, pr = alg.bracket, alg.product
 
-    def acc(out, ce, sign):
-        for k, v in ce.terms.items():
-            nv = out.get(k, 0) + (v if sign > 0 else -v)
-            if nv:
-                out[k] = nv
-            else:
-                out.pop(k, None)
-
-    def left(rule, g1, m, ce, out, sign):
-        # rule((g1)_m, ce) accumulated into out
-        for (g2, n), c in ce.terms.items():
-            for k, v in B(rule, g1, m, g2, n).terms.items():
-                nv = out.get(k, 0) + sign * c * v
-                if nv:
-                    out[k] = nv
-                else:
-                    out.pop(k, None)
-
-    def right(rule, ce, g2, n, out, sign):
-        for (g1, m), c in ce.terms.items():
-            for k, v in B(rule, g1, m, g2, n).terms.items():
-                nv = out.get(k, 0) + sign * c * v
-                if nv:
-                    out[k] = nv
-                else:
-                    out.pop(k, None)
-
-    def sweep(name, arity, residual):
-        witnesses = []
-        checked = escaped = 0
-        pool = (itertools.combinations_with_replacement(basis, 2) if arity == 2
-                else itertools.product(basis, repeat=3))
-        for t in pool:
-            try:
-                out = residual(*t)
-            except WindowEscape:
-                escaped += 1
-                continue
-            checked += 1
-            if out and len(witnesses) < 4:
-                witnesses.append((tuple(CoeffElement.of(*m) for m in t),
-                                  _as_report_value(CoeffElement(out))))
-        if witnesses:
-            status = FAIL
-        elif escaped:
-            status = "inconclusive"
-        else:
-            status = PASS
-        return CheckReport(name, status, witnesses, checked, escaped)
+    def check(name, arity, residual):
+        # tuples of basis modes (g, n); a witness shows their elements
+        tuples = (itertools.combinations_with_replacement(elem, 2) if arity == 2
+                  else itertools.product(elem, repeat=3))
+        rep = run_tuple_check(name, tuples, residual)
+        rep.witnesses = [(tuple(elem[m] for m in t), _as_report_value(r))
+                         for t, r in rep.witnesses]
+        return rep
 
     def r_antisym(a, b):
-        out = {}
-        acc(out, B(br, *a, *b), 1)
-        acc(out, B(br, *b, *a), 1)
+        out = CoeffElement()
+        acc(out.terms, br, elem[a], elem[b])
+        acc(out.terms, br, elem[b], elem[a])
         return out
 
     def r_comm(a, b):
-        out = {}
-        acc(out, B(pr, *a, *b), 1)
-        acc(out, B(pr, *b, *a), -1)
+        out = CoeffElement()
+        acc(out.terms, pr, elem[a], elem[b])
+        acc(out.terms, pr, elem[b], elem[a], -1)
         return out
 
     def r_assoc(a, b, c):
-        out = {}
-        right(pr, B(pr, *a, *b), *c, out, 1)
-        left(pr, *a, B(pr, *b, *c), out, -1)
+        out = CoeffElement()
+        acc(out.terms, pr, B(pr, *a, *b), elem[c])
+        acc(out.terms, pr, elem[a], B(pr, *b, *c), -1)
         return out
 
     def r_jacobi(a, b, c):
-        out = {}
-        left(br, *a, B(br, *b, *c), out, 1)
-        right(br, B(br, *a, *b), *c, out, -1)
-        left(br, *b, B(br, *a, *c), out, -1)
+        out = CoeffElement()
+        acc(out.terms, br, elem[a], B(br, *b, *c))
+        acc(out.terms, br, B(br, *a, *b), elem[c], -1)
+        acc(out.terms, br, elem[b], B(br, *a, *c), -1)
         return out
 
     def r_leibniz(a, b, c):
-        out = {}
-        left(br, *a, B(pr, *b, *c), out, 1)
-        right(pr, B(br, *a, *b), *c, out, -1)
-        left(pr, *b, B(br, *a, *c), out, -1)
+        out = CoeffElement()
+        acc(out.terms, br, elem[a], B(pr, *b, *c))
+        acc(out.terms, pr, B(br, *a, *b), elem[c], -1)
+        acc(out.terms, pr, elem[b], B(br, *a, *c), -1)
         return out
 
-    reports = [sweep("coeff_antisymmetry", 2, r_antisym)]
+    reports = [check("coeff_antisymmetry", 2, r_antisym)]
     if commutative:
-        reports.append(sweep("coeff_commutativity", 2, r_comm))
-    reports.append(sweep("coeff_associativity", 3, r_assoc))
-    reports.append(sweep("coeff_jacobi", 3, r_jacobi))
-    reports.append(sweep("coeff_leibniz", 3, r_leibniz))
+        reports.append(check("coeff_commutativity", 2, r_comm))
+    reports.append(check("coeff_associativity", 3, r_assoc))
+    reports.append(check("coeff_jacobi", 3, r_jacobi))
+    reports.append(check("coeff_leibniz", 3, r_leibniz))
     return reports
 
 
@@ -305,17 +276,9 @@ def coeff_derivation_check(alg: ConformalAlgebra, window: ModeWindow) -> CheckRe
             - ca.product(u, ca.derivation(v))
         r2 = ca.derivation(ca.bracket(u, v)) - ca.bracket(ca.derivation(u), v) \
             - ca.bracket(u, ca.derivation(v))
-        return _as_report_value(r1).align(("·r",)) + LambdaPoly.of(
-            ("·r",), _as_lp_me(r2), (1,))
+        return stack_rows([_as_report_value(r1), _as_report_value(r2)])
 
     return run_tuple_check("coeff_derivation", itertools.product(elems, repeat=2), residual)
-
-
-def _as_lp_me(e: CoeffElement) -> ModElement:
-    me = ModElement.zero()
-    for (g, n), c in e.items():
-        me = me + ModElement.of(GenIndex(f"{g.family}@{n}", g.params)).scale(c)
-    return me
 
 
 def annihilation_relations_check(alg: ConformalAlgebra, window: ModeWindow,
@@ -343,7 +306,7 @@ def annihilation_relations_check(alg: ConformalAlgebra, window: ModeWindow,
         lin = coeff_normalize(a.scale(alpha) + b, n) - coeff_normalize(a, n).scale(alpha) \
             - coeff_normalize(b, n)
         rew = coeff_normalize(a.d_apply(1), n) - coeff_normalize(a, n - 1).scale(-n)
-        return _as_report_value(lin).align(("·r",)) + LambdaPoly.of(("·r",), _as_lp_me(rew), (1,))
+        return stack_rows([_as_report_value(lin), _as_report_value(rew)])
 
     return run_tuple_check("coeff_quotient_relations", samples, residual)
 

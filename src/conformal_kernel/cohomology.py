@@ -33,14 +33,13 @@ from typing import Callable, Iterable, Sequence
 from .algebra import (
     CheckReport,
     ConformalAlgebra,
-    FAIL,
     MAX_WITNESSES,
-    PASS,
     StructureRule,
     UnboundedAnsatz,
     WindowEscape,
     const_lp,
     pair,
+    pair_at,
     run_tuple_check,
     sweep_status,
 )
@@ -198,6 +197,38 @@ def _gen_args(gens: Sequence[GenIndex], ctx: tuple[str, ...] = ()) -> list[Lambd
     return [LambdaPoly.of(ctx, ModElement.of(g)) for g in gens]
 
 
+def _eval_pair_in_slot(gamma: Cochain, rule: StructureRule, items: Sequence[LambdaPoly],
+                       ivars: Sequence[str | None], layout: Sequence,
+                       ctx: tuple[str, ...]) -> LambdaPoly:
+    """gamma on `items` with the pair B = {u_·b w} of two of them in one
+    slot, in context ``ctx``.
+
+    ``layout`` lists gamma's slots in order: an item index, or the pair
+    (i, j) of the item indices that B pairs.  ``ivars[k]`` is the output
+    variable of item k; the final item has none (None), so in a slot that
+    carries a variable it stands for the dagger form -(sum of ivars) - D.
+    B's slot variable is ivars[i] + ivars[j] and its pair variable is
+    ivars[i].  Slot variables other than plain output variables are
+    placeholders, replaced after evaluation by one subst_many call.
+    """
+    (i, j), = [slot for slot in layout if isinstance(slot, tuple)]
+    B = pair(rule, items[i], items[j], "·b")
+    args = [B if slot == (i, j) else items[slot].align(B.context) for slot in layout]
+    svars, subs = [], {}
+    for p, slot in enumerate(layout[:-1]):  # the final slot carries no variable
+        if slot == (i, j):
+            subs[f"·q{p}"] = ({ivars[i]: 1, ivars[j]: 1}, 0)
+        elif ivars[slot] is None:
+            subs[f"·q{p}"] = ({u: -1 for u in ivars if u is not None}, -1)
+        else:
+            svars.append(ivars[slot])
+            continue
+        svars.append(f"·q{p}")
+    subs["·b"] = ({ivars[i]: 1}, 0)
+    v = eval_cochain(gamma, args, svars)
+    return v.align(tuple(subs) + ctx).subst_many(subs)
+
+
 # ---------------------------------------------------------------------------
 # the differentials
 # ---------------------------------------------------------------------------
@@ -217,36 +248,23 @@ def d_h(P: ConformalAlgebra, V: ConformalModule, gamma: Cochain) -> Cochain:
     def value(gens):
         xs, asr = gens[:m], gens[m:]
         out = Accumulator(out_vars)
+        items, ivars = _gen_args(gens), out_vars + (None,)
 
         # a1 o_(mu1) gamma(x's; a2..a_{n+1})
         inner = eval_cochain(gamma, _gen_args(xs + asr[1:]), xvars + avars[1:])
         out.add(pair(V.left, const_lp(ModElement.of(asr[0]), inner.context), inner, avars[0]))
 
-        # merged products, sign (-1)^i
+        # merged products a_i a_{i+1} (items m+i-1, m+i), sign (-1)^i
         for i in range(1, n + 1):
-            A = pair(P.product, const_lp(ModElement.of(asr[i - 1])),
-                     const_lp(ModElement.of(asr[i])), "·p")
-            args = _gen_args(xs, A.context) + _gen_args(asr[:i - 1], A.context) + [A] \
-                + _gen_args(asr[i + 1:], A.context)
-            if i < n:
-                svars = list(xvars) + list(avars[:i - 1]) + ["·q"] + list(avars[i + 1:n])
-            else:
-                svars = list(xvars) + list(avars[:n - 1])
-            v = eval_cochain(gamma, args, svars)
-            if i < n:
-                v = v.align(("·p", "·q") + out_vars)
-                v = v.subst_many({"·q": ({avars[i - 1]: 1, avars[i]: 1}, 0),
-                                  "·p": ({avars[i - 1]: 1}, 0)})
-            else:
-                v = v.align(("·p",) + out_vars)
-                v = v.subst_linear("·p", {avars[i - 1]: 1})
-            out.add(v, (-1) ** i)
+            p = m + i - 1
+            layout = [*range(p), (p, p + 1), *range(p + 2, m + n + 1)]
+            out.add(_eval_pair_in_slot(gamma, P.product, items, ivars, layout, out_vars),
+                    (-1) ** i)
 
         # gamma(x's; a1..a_n) o_(flat) a_{n+1}, sign (-1)^{n+1}
         w = eval_cochain(gamma, _gen_args(xs + asr[:n]), xvars + avars[:n - 1])
-        t3 = pair(V.right, w, const_lp(ModElement.of(asr[n]), w.context), "·q")
-        t3 = t3.align(out_vars + ("·q",))
-        t3 = t3.subst_linear("·q", {v: 1 for v in out_vars})
+        t3 = pair_at(V.right, w, const_lp(ModElement.of(asr[n]), w.context),
+                     ({v: 1 for v in out_vars}, 0), out_vars)
         out.add(t3, (-1) ** (n + 1))
         return out.build()
 
@@ -264,6 +282,7 @@ def _d_ce_lie(P: ConformalAlgebra, V: ConformalModule, gamma: Cochain) -> Cochai
 
     def value(gens):
         out = Accumulator(out_vars)
+        items, ivars = _gen_args(gens), out_vars + (None,)
 
         # a_i acting on gamma(.. hat i .., a_{k+1})
         for i in range(1, k + 1):
@@ -277,36 +296,21 @@ def _d_ce_lie(P: ConformalAlgebra, V: ConformalModule, gamma: Cochain) -> Cochai
         # gamma(.. hat i .. hat j .., a_{k+1} at dagger, [a_i a_j])
         for i in range(1, k + 1):
             for j in range(i + 1, k + 1):
-                B = pair(P.bracket, const_lp(ModElement.of(gens[i - 1])),
-                         const_lp(ModElement.of(gens[j - 1])), "·b")
-                rest = [gens[t - 1] for t in range(1, k + 1) if t not in (i, j)]
-                args = _gen_args(rest, B.context) + [
-                    LambdaPoly.of(B.context, ModElement.of(gens[k])), B]
-                svars = [out_vars[t - 1] for t in range(1, k + 1) if t not in (i, j)] + ["·w"]
-                v = eval_cochain(gamma, args, svars)
-                v = v.align(("·b", "·w") + out_vars)
-                v = v.subst_many({"·w": ({u: -1 for u in out_vars}, -1),
-                                  "·b": ({out_vars[i - 1]: 1}, 0)})
-                out.add(v, (-1) ** (k + i + j + 1))
+                layout = [t for t in range(k) if t not in (i - 1, j - 1)] + [k, (i - 1, j - 1)]
+                out.add(_eval_pair_in_slot(gamma, P.bracket, items, ivars, layout, out_vars),
+                        (-1) ** (k + i + j + 1))
 
         # a_{k+1} at dagger acting on gamma(a_1..a_k)
         inner = eval_cochain(gamma, _gen_args(gens[:k]), out_vars[:k - 1])
-        t = pair(V.lie, const_lp(ModElement.of(gens[k]), inner.context), inner, "·w")
-        t = t.align(out_vars + ("·w",))
-        t = t.subst_linear("·w", {u: -1 for u in out_vars}, d_coeff=-1)
+        t = pair_at(V.lie, const_lp(ModElement.of(gens[k]), inner.context), inner,
+                    ({u: -1 for u in out_vars}, -1), out_vars)
         out.add(t, (-1) ** k)
 
         # gamma(.. hat i .., [a_i a_{k+1}])
         for i in range(1, k + 1):
-            B = pair(P.bracket, const_lp(ModElement.of(gens[i - 1])),
-                     const_lp(ModElement.of(gens[k])), "·b")
-            rest = gens[:i - 1] + gens[i:k]
-            args = _gen_args(rest, B.context) + [B]
-            svars = [out_vars[t - 1] for t in range(1, k + 1) if t != i][: k - 1]
-            v = eval_cochain(gamma, args, svars)
-            v = v.align(("·b",) + out_vars)
-            v = v.subst_linear("·b", {out_vars[i - 1]: 1})
-            out.add(v, (-1) ** i)
+            layout = [t for t in range(k) if t != i - 1] + [(i - 1, k)]
+            out.add(_eval_pair_in_slot(gamma, P.bracket, items, ivars, layout, out_vars),
+                    (-1) ** i)
 
         return out.build()
 
@@ -322,6 +326,7 @@ def _d_ce_mixed(P: ConformalAlgebra, V: ConformalModule, gamma: Cochain) -> Coch
     def value(gens):
         xs, asr = gens[:m + 1], gens[m + 1:]
         out = Accumulator(out_vars)
+        items, ivars = _gen_args(gens), out_vars + (None,)
 
         for i in range(1, m + 2):
             sign_i = (-1) ** (i + 1)
@@ -334,40 +339,20 @@ def _d_ce_mixed(P: ConformalAlgebra, V: ConformalModule, gamma: Cochain) -> Coch
                      xvars[i - 1])
             out.add(t, sign_i)
 
-            # bracket of x_i into each product-type slot
+            # bracket of x_i into each product-type slot (a_j is item m+j)
             for j in range(1, n + 1):
-                B = pair(P.bracket, const_lp(ModElement.of(xs[i - 1])),
-                         const_lp(ModElement.of(asr[j - 1])), "·b")
-                args = _gen_args(rest, B.context) + _gen_args(asr[:j - 1], B.context) + [B] \
-                    + _gen_args(asr[j:], B.context)
-                if j < n:
-                    svars = rest_vars + list(avars[:j - 1]) + ["·q"] + list(avars[j:n - 1])
-                else:
-                    svars = rest_vars + list(avars[:n - 1])
-                v = eval_cochain(gamma, args, svars)
-                if j < n:
-                    v = v.align(("·b", "·q") + out_vars)
-                    v = v.subst_many({"·q": ({xvars[i - 1]: 1, avars[j - 1]: 1}, 0),
-                                      "·b": ({xvars[i - 1]: 1}, 0)})
-                else:
-                    v = v.align(("·b",) + out_vars)
-                    v = v.subst_linear("·b", {xvars[i - 1]: 1})
-                out.add(v, -sign_i)
+                layout = [t for t in range(m + 1) if t != i - 1] + [*range(m + 1, m + j)] \
+                    + [(i - 1, m + j), *range(m + j + 1, m + n + 1)]
+                out.add(_eval_pair_in_slot(gamma, P.bracket, items, ivars, layout, out_vars),
+                        -sign_i)
 
         # [x_i x_j] placed in the first bracket-type slot
         for i in range(1, m + 2):
             for j in range(i + 1, m + 2):
-                B = pair(P.bracket, const_lp(ModElement.of(xs[i - 1])),
-                         const_lp(ModElement.of(xs[j - 1])), "·b")
-                rest = [xs[t - 1] for t in range(1, m + 2) if t not in (i, j)]
-                args = [B] + _gen_args(rest, B.context) + _gen_args(asr, B.context)
-                svars = ["·q"] + [xvars[t - 1] for t in range(1, m + 2) if t not in (i, j)] \
-                    + list(avars)
-                v = eval_cochain(gamma, args, svars)
-                v = v.align(("·b", "·q") + out_vars)
-                v = v.subst_many({"·q": ({xvars[i - 1]: 1, xvars[j - 1]: 1}, 0),
-                                  "·b": ({xvars[i - 1]: 1}, 0)})
-                out.add(v, (-1) ** (i + j))
+                layout = [(i - 1, j - 1)] + [t for t in range(m + 1) if t not in (i - 1, j - 1)] \
+                    + [*range(m + 1, m + n + 1)]
+                out.add(_eval_pair_in_slot(gamma, P.bracket, items, ivars, layout, out_vars),
+                        (-1) ** (i + j))
 
         return out.build()
 
@@ -377,8 +362,7 @@ def _d_ce_mixed(P: ConformalAlgebra, V: ConformalModule, gamma: Cochain) -> Coch
 def d_ce_degree0(V: ConformalModule, v: ModElement) -> Cochain:
     """The reconstructed degree-0 rule: v -> (a -> a_{-D} v)."""
     def value(gens):
-        t = pair(V.lie, const_lp(ModElement.of(gens[0])), const_lp(v), "·w")
-        return t.subst_linear("·w", {}, d_coeff=-1)
+        return pair_at(V.lie, const_lp(ModElement.of(gens[0])), const_lp(v), ({}, -1), ())
     return Cochain(1, 0, value)
 
 
@@ -429,21 +413,10 @@ def is_cocycle(P: ConformalAlgebra, V: ConformalModule, graded: Graded,
                degree0: ModElement | None = None) -> CheckReport:
     """Exact-zero test of the total differential on supplied tuple windows."""
     image = d_total(P, V, graded, degree0)
-    witnesses = []
-    checked = escaped = 0
-    for key in sorted(image):
-        coch = image[key]
-        for t in window_tuples(coch.slots):
-            try:
-                v = coch.value(t)
-            except WindowEscape:
-                escaped += 1
-                continue
-            checked += 1
-            if not v.is_zero() and len(witnesses) < 4:
-                witnesses.append(((key,) + t, v))
-    status = FAIL if witnesses else PASS
-    return CheckReport("is_cocycle", status, witnesses, checked, escaped)
+    return run_tuple_check(
+        "is_cocycle",
+        ((key,) + t for key in sorted(image) for t in window_tuples(image[key].slots)),
+        lambda key, *t: image[key].value(t))
 
 
 # ---------------------------------------------------------------------------
@@ -467,21 +440,11 @@ def hochschild_action_value(P: ConformalAlgebra, V: ConformalModule, gamma: Coch
     acc = Accumulator(full)
     acc.add(pair(V.lie, x_lp.align(inner.context), inner, var))
 
+    # x paired into each slot: x is item 0, a_i item i
+    items, ivars = [x_lp] + _gen_args(gens, c0), (var,) + base + (None,)
     for i in range(1, s + 1):
-        B = pair(P.bracket, x_lp, LambdaPoly.of(c0, ModElement.of(gens[i - 1])), "·b")
-        args = _gen_args(gens[:i - 1], B.context) + [B] + _gen_args(gens[i:], B.context)
-        if i < s:
-            svars = list(base[:i - 1]) + ["·q"] + list(base[i:s - 1])
-        else:
-            svars = list(base[:s - 1])
-        v = eval_cochain(gamma, args, svars)
-        if i < s:
-            v = v.align(("·b", "·q") + full)
-            v = v.subst_many({"·q": ({var: 1, base[i - 1]: 1}, 0), "·b": ({var: 1}, 0)})
-        else:
-            v = v.align(("·b",) + full)
-            v = v.subst_linear("·b", {var: 1})
-        acc.add(v, -1)
+        layout = [*range(1, i), (0, i), *range(i + 1, s + 1)]
+        acc.add(_eval_pair_in_slot(gamma, P.bracket, items, ivars, layout, full), -1)
     return acc.build()
 
 
@@ -782,10 +745,9 @@ def check_action_module_laws(P: ConformalAlgebra, V: ConformalModule,
             v2 = lhs - rhs
 
             # D-compatibility with the defect term lam * gamma(a_1,...,[x_lam a_n])
-            B = pair(P.bracket, const_lp(x), const_lp(ModElement.of(t[-1])), lam)
-            args = _gen_args(t[:-1], B.context) + [B]
-            defect = eval_cochain(gamma, args, list(canon_vars(n - 1)))
-            defect = defect.align(gamma.context + (lam,)).mul_var(lam)
+            defect = _eval_pair_in_slot(
+                gamma, P.bracket, [const_lp(x)] + _gen_args(t), (lam,) + gamma.context + (None,),
+                [*range(1, n), (0, n)], gamma.context + (lam,)).mul_var(lam)
 
             # the bracket law
             w = pair(P.bracket, const_lp(x), const_lp(y), lam)

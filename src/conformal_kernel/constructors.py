@@ -24,10 +24,14 @@ from .algebra import (
     StructureRule,
     WindowEscape,
     const_lp,
+    inner_first,
+    outer_first,
     pair,
+    pair_at,
     run_tuple_check,
+    stack_rows,
     suite_fails,
-    suite_passes,
+    swapped,
     window_generators,
 )
 from .symcore import DPoly, GenIndex, LambdaPoly, ModElement, Q
@@ -95,22 +99,16 @@ def _gens_m(ord_: OrdinaryAlgebra, window: int) -> list[ModElement]:
 
 # ordinary axiom sweeps -------------------------------------------------------
 
-def _ord_check(name, tuples, residual, notes=()):
-    return run_tuple_check(name, tuples, residual, notes)
-
-
 def check_ordinary_associativity(ord_: OrdinaryAlgebra, window: int) -> CheckReport:
     gens = _gens_m(ord_, window)
     f = ord_.product
-    return _ord_check(
+    return run_tuple_check(
         "ord_associativity",
         itertools.product(gens, repeat=3),
-        lambda a, b, c: _as_lp(ord_apply(f, ord_apply(f, a, b), c) - ord_apply(f, a, ord_apply(f, b, c))),
+        lambda a, b, c: const_lp(
+            ord_apply(f, ord_apply(f, a, b), c) - ord_apply(f, a, ord_apply(f, b, c))
+        ),
     )
-
-
-def _as_lp(me: ModElement) -> LambdaPoly:
-    return const_lp(me)
 
 
 def check_ordinary_poisson(ord_: OrdinaryAlgebra, window: int, commutative: bool = True) -> list[CheckReport]:
@@ -118,29 +116,29 @@ def check_ordinary_poisson(ord_: OrdinaryAlgebra, window: int, commutative: bool
     prod, br = ord_.product, ord_.bracket
     reports = [check_ordinary_associativity(ord_, window)]
     if commutative:
-        reports.append(_ord_check(
+        reports.append(run_tuple_check(
             "ord_commutativity",
             itertools.product(gens, repeat=2),
-            lambda a, b: _as_lp(ord_apply(prod, a, b) - ord_apply(prod, b, a)),
+            lambda a, b: const_lp(ord_apply(prod, a, b) - ord_apply(prod, b, a)),
         ))
-    reports.append(_ord_check(
+    reports.append(run_tuple_check(
         "ord_antisymmetry",
         itertools.product(gens, repeat=2),
-        lambda a, b: _as_lp(ord_apply(br, a, b) + ord_apply(br, b, a)),
+        lambda a, b: const_lp(ord_apply(br, a, b) + ord_apply(br, b, a)),
     ))
-    reports.append(_ord_check(
+    reports.append(run_tuple_check(
         "ord_jacobi",
         itertools.product(gens, repeat=3),
-        lambda a, b, c: _as_lp(
+        lambda a, b, c: const_lp(
             ord_apply(br, a, ord_apply(br, b, c))
             - ord_apply(br, ord_apply(br, a, b), c)
             - ord_apply(br, b, ord_apply(br, a, c))
         ),
     ))
-    reports.append(_ord_check(
+    reports.append(run_tuple_check(
         "ord_leibniz",
         itertools.product(gens, repeat=3),
-        lambda a, b, c: _as_lp(
+        lambda a, b, c: const_lp(
             ord_apply(br, a, ord_apply(prod, b, c))
             - ord_apply(prod, ord_apply(br, a, b), c)
             - ord_apply(prod, b, ord_apply(br, a, c))
@@ -154,39 +152,39 @@ def check_gd(ord_: OrdinaryAlgebra, window: int = 3) -> list[CheckReport]:
     gens = _gens_m(ord_, window)
     star, br = ord_.star, ord_.bracket
     reports = [
-        _ord_check(
+        run_tuple_check(
             "novikov_right_commute",
             itertools.product(gens, repeat=3),
-            lambda a, b, c: _as_lp(
+            lambda a, b, c: const_lp(
                 ord_apply(star, ord_apply(star, a, b), c) - ord_apply(star, ord_apply(star, a, c), b)
             ),
         ),
-        _ord_check(
+        run_tuple_check(
             "novikov_left_symmetry",
             itertools.product(gens, repeat=3),
-            lambda a, b, c: _as_lp(
+            lambda a, b, c: const_lp(
                 ord_apply(star, ord_apply(star, a, b), c) - ord_apply(star, a, ord_apply(star, b, c))
                 - ord_apply(star, ord_apply(star, b, a), c) + ord_apply(star, b, ord_apply(star, a, c))
             ),
         ),
-        _ord_check(
+        run_tuple_check(
             "lie_antisymmetry",
             itertools.product(gens, repeat=2),
-            lambda a, b: _as_lp(ord_apply(br, a, b) + ord_apply(br, b, a)),
+            lambda a, b: const_lp(ord_apply(br, a, b) + ord_apply(br, b, a)),
         ),
-        _ord_check(
+        run_tuple_check(
             "lie_jacobi",
             itertools.product(gens, repeat=3),
-            lambda a, b, c: _as_lp(
+            lambda a, b, c: const_lp(
                 ord_apply(br, a, ord_apply(br, b, c))
                 - ord_apply(br, ord_apply(br, a, b), c)
                 - ord_apply(br, b, ord_apply(br, a, c))
             ),
         ),
-        _ord_check(
+        run_tuple_check(
             "gd_compatibility",
             itertools.product(gens, repeat=3),
-            lambda a, b, c: _as_lp(
+            lambda a, b, c: const_lp(
                 ord_apply(br, ord_apply(star, a, b), c)
                 + ord_apply(star, ord_apply(br, a, b), c)
                 - ord_apply(star, a, ord_apply(br, b, c))
@@ -203,15 +201,15 @@ def check_pgd(ord_: OrdinaryAlgebra, window: int = 3, commutative: bool = True) 
     gens = _gens_m(ord_, window)
     star, prod = ord_.star, ord_.product
     reports = check_gd(ord_, window) + check_ordinary_poisson(ord_, window, commutative)
-    reports.append(_ord_check(
+    reports.append(run_tuple_check(
         "pgd_right_compat",  # (b o c) * a = b o (c * a) = (b * a) o c
         itertools.product(gens, repeat=3),
         lambda a, b, c: _pgd_right(star, prod, a, b, c),
     ))
-    reports.append(_ord_check(
+    reports.append(run_tuple_check(
         "pgd_left_derivation",  # a * (b o c) = (a*b) o c + b o (a*c)
         itertools.product(gens, repeat=3),
-        lambda a, b, c: _as_lp(
+        lambda a, b, c: const_lp(
             ord_apply(star, a, ord_apply(prod, b, c))
             - ord_apply(prod, ord_apply(star, a, b), c)
             - ord_apply(prod, b, ord_apply(star, a, c))
@@ -225,7 +223,7 @@ def _pgd_right(star, prod, a, b, c) -> LambdaPoly:
     lhs = ord_apply(star, ord_apply(prod, b, c), a)
     r1 = lhs - ord_apply(prod, b, ord_apply(star, c, a))
     r2 = lhs - ord_apply(prod, ord_apply(star, b, a), c)
-    return _as_lp(r1).align(("·r",)) + LambdaPoly.of(("·r",), r2, (1,))
+    return stack_rows([const_lp(r1), const_lp(r2)])
 
 
 def check_derivation(ord_: OrdinaryAlgebra, D: LinearRule, window: int = 3) -> list[CheckReport]:
@@ -233,20 +231,20 @@ def check_derivation(ord_: OrdinaryAlgebra, D: LinearRule, window: int = 3) -> l
     reports = []
     if ord_.product is not None:
         prod = ord_.product
-        reports.append(_ord_check(
+        reports.append(run_tuple_check(
             "derivation_on_product",
             itertools.product(gens, repeat=2),
-            lambda a, b: _as_lp(
+            lambda a, b: const_lp(
                 D.apply(ord_apply(prod, a, b))
                 - ord_apply(prod, D.apply(a), b) - ord_apply(prod, a, D.apply(b))
             ),
         ))
     if ord_.bracket is not None:
         br = ord_.bracket
-        reports.append(_ord_check(
+        reports.append(run_tuple_check(
             "derivation_on_bracket",
             itertools.product(gens, repeat=2),
-            lambda a, b: _as_lp(
+            lambda a, b: const_lp(
                 D.apply(ord_apply(br, a, b))
                 - ord_apply(br, D.apply(a), b) - ord_apply(br, a, D.apply(b))
             ),
@@ -414,12 +412,8 @@ def adjoint_module(alg: ConformalAlgebra) -> ConformalModule:
 
 
 def _dagger_pair(rule: StructureRule, U: LambdaPoly, W: LambdaPoly, out_var: str) -> LambdaPoly:
-    """U op_{-out_var - D} W: pair on a fresh variable, then dagger it."""
-    ctx = U.context
-    tmp = "·dg"
-    res = pair(rule, U, W, tmp)
-    res = res.align(ctx + (out_var, tmp))
-    return res.subst_linear(tmp, {out_var: -1}, d_coeff=-1)
+    """U op_{-out_var - D} W: the pairing at the dagger form of out_var."""
+    return pair_at(rule, U, W, ({out_var: -1}, -1), U.context + (out_var,))
 
 
 def check_module(alg: ConformalAlgebra, mod: ConformalModule, window: int = 3) -> list[CheckReport]:
@@ -427,31 +421,24 @@ def check_module(alg: ConformalAlgebra, mod: ConformalModule, window: int = 3) -
     agens = [ModElement.of(g) for g in alg.generators(window)]
     vgens = [ModElement.of(g) for g in mod.generators(window)]
     reports: list[CheckReport] = []
-    sum_LM = {L: 1, M: 1}
-
-    def lp2(x):
-        return const_lp(x)
 
     if mod.kind in (ASSOC_MODULE, POISSON_MODULE):
         prod, lft, rgt = alg.product, mod.left, mod.right
 
         def assoc_left(a, b, v):
-            lhs = pair(lft, pair(prod, lp2(a), lp2(b), L), lp2(v).align((L,)), "·t")
-            lhs = lhs.align((L, M, "·t")).subst_linear("·t", sum_LM)
-            rhs = pair(lft, lp2(a).align((M,)), pair(lft, lp2(b), lp2(v), M), L).align((L, M))
-            return lhs - rhs
+            A, B, V = const_lp(a), const_lp(b), const_lp(v)
+            return (outer_first(lft, pair(prod, A, B, L), V)
+                    - inner_first(lft, A, pair(lft, B, V, M)))
 
         def assoc_right(v, b, a):
-            lhs = pair(rgt, pair(rgt, lp2(v), lp2(b), L), lp2(a).align((L,)), "·t")
-            lhs = lhs.align((L, M, "·t")).subst_linear("·t", sum_LM)
-            rhs = pair(rgt, lp2(v).align((M,)), pair(prod, lp2(b), lp2(a), M), L).align((L, M))
-            return lhs - rhs
+            V, B, A = const_lp(v), const_lp(b), const_lp(a)
+            return (outer_first(rgt, pair(rgt, V, B, L), A)
+                    - inner_first(rgt, V, pair(prod, B, A, M)))
 
         def assoc_mixed(a, v, b):
-            lhs = pair(rgt, pair(lft, lp2(a), lp2(v), L), lp2(b).align((L,)), "·t")
-            lhs = lhs.align((L, M, "·t")).subst_linear("·t", sum_LM)
-            rhs = pair(lft, lp2(a).align((M,)), pair(rgt, lp2(v), lp2(b), M), L).align((L, M))
-            return lhs - rhs
+            A, V, B = const_lp(a), const_lp(v), const_lp(b)
+            return (outer_first(rgt, pair(lft, A, V, L), B)
+                    - inner_first(lft, A, pair(rgt, V, B, M)))
 
         reports.append(run_tuple_check(
             "module_assoc_left", itertools.product(agens, agens, vgens), assoc_left))
@@ -464,11 +451,10 @@ def check_module(alg: ConformalAlgebra, mod: ConformalModule, window: int = 3) -
         br, lie = alg.bracket, mod.lie
 
         def lie_axiom(a, b, v):
-            lhs = pair(lie, pair(br, lp2(a), lp2(b), L), lp2(v).align((L,)), "·t")
-            lhs = lhs.align((L, M, "·t")).subst_linear("·t", sum_LM)
-            t1 = pair(lie, lp2(a).align((M,)), pair(lie, lp2(b), lp2(v), M), L).align((L, M))
-            t2 = pair(lie, lp2(b).align((L,)), pair(lie, lp2(a), lp2(v), L), M).align((L, M))
-            return lhs - t1 + t2
+            A, B, V = const_lp(a), const_lp(b), const_lp(v)
+            return (outer_first(lie, pair(br, A, B, L), V)
+                    - inner_first(lie, A, pair(lie, B, V, M))
+                    + swapped(lie, B, pair(lie, A, V, L)))
 
         reports.append(run_tuple_check(
             "module_lie", itertools.product(agens, agens, vgens), lie_axiom))
@@ -479,28 +465,24 @@ def check_module(alg: ConformalAlgebra, mod: ConformalModule, window: int = 3) -
 
         def poisson1(a, b, v):
             # [a_L b] o_{L+M} v = a_L (b o_M v) - b o_M (a_L v)
-            lhs = pair(lft, pair(br, lp2(a), lp2(b), L), lp2(v).align((L,)), "·t")
-            lhs = lhs.align((L, M, "·t")).subst_linear("·t", sum_LM)
-            t1 = pair(lie, lp2(a).align((M,)), pair(lft, lp2(b), lp2(v), M), L).align((L, M))
-            t2 = pair(lft, lp2(b).align((L,)), pair(lie, lp2(a), lp2(v), L), M).align((L, M))
-            return lhs - t1 + t2
+            A, B, V = const_lp(a), const_lp(b), const_lp(v)
+            return (outer_first(lft, pair(br, A, B, L), V)
+                    - inner_first(lie, A, pair(lft, B, V, M))
+                    + swapped(lft, B, pair(lie, A, V, L)))
 
         def poisson2(v, a, b):
             # v o_M [a_L b] = a_L (v o_M b) - (a_L v) o_{L+M} b
-            lhs = pair(rgt, lp2(v).align((L,)), pair(br, lp2(a), lp2(b), L), M).align((L, M))
-            t1 = pair(lie, lp2(a).align((M,)), pair(rgt, lp2(v), lp2(b), M), L).align((L, M))
-            t2 = pair(rgt, pair(lie, lp2(a), lp2(v), L), lp2(b).align((L,)), "·t")
-            t2 = t2.align((L, M, "·t")).subst_linear("·t", sum_LM)
-            return lhs - t1 + t2
+            V, A, B = const_lp(v), const_lp(a), const_lp(b)
+            return (swapped(rgt, V, pair(br, A, B, L))
+                    - inner_first(lie, A, pair(rgt, V, B, M))
+                    + outer_first(rgt, pair(lie, A, V, L), B))
 
         def poisson3(a, b, v):
             # (a o_L b)_{-M-D} v = a o_L (b_{-M-D} v) + (a_{-M-D} v) o_{L+M} b
-            lhs = _dagger_pair(lie, pair(prod, lp2(a), lp2(b), L), lp2(v).align((L,)), M)
-            lhs = lhs.align((L, M))
-            t1 = pair(lft, lp2(a).align((M,)), _dagger_pair(lie, lp2(b), lp2(v), M), L).align((L, M))
-            t2 = pair(rgt, _dagger_pair(lie, lp2(a), lp2(v), M), lp2(b).align((M,)), "·t")
-            t2 = t2.align((L, M, "·t")).subst_linear("·t", sum_LM)
-            return lhs - t1 - t2
+            A, B, V = const_lp(a), const_lp(b), const_lp(v)
+            lhs = _dagger_pair(lie, pair(prod, A, B, L), V.align((L,)), M)
+            return (lhs - inner_first(lft, A, _dagger_pair(lie, B, V, M))
+                    - outer_first(rgt, _dagger_pair(lie, A, V, M), B))
 
         reports.append(run_tuple_check(
             "module_poisson_bracket_left", itertools.product(agens, agens, vgens), poisson1))

@@ -21,6 +21,7 @@ from .algebra import (
     ConformalAlgebra,
     FAIL,
     GenFamily,
+    KIND_ASSOCIATIVE,
     KIND_NC_POISSON,
     KIND_POISSON,
     LinearRule,
@@ -30,10 +31,15 @@ from .algebra import (
     UnboundedAnsatz,
     check_associativity,
     check_poisson,
+    commutator_bracket,
     const_lp,
+    inner_first,
+    outer_first,
     pair,
     run_tuple_check,
+    stack_rows,
     suite_fails,
+    swapped,
 )
 from .cohomology import (
     AnsatzBounds,
@@ -123,10 +129,8 @@ def _convolution_residual(ds: DeformationSeries, n: int, a, b, c) -> LambdaPoly:
     out = LambdaPoly.zero((L, M))
     for r in range(n + 1):
         s = n - r
-        lhs = pair(ds.mu(r), A.align((M,)), pair(ds.mu(s), B, C, M), L).align((L, M))
-        rhs = pair(ds.mu(r), pair(ds.mu(s), A, B, L), C.align((L,)), "·t")
-        rhs = rhs.align((L, M, "·t")).subst_linear("·t", {L: 1, M: 1})
-        out = out + lhs - rhs
+        out = (out + inner_first(ds.mu(r), A, pair(ds.mu(s), B, C, M))
+               - outer_first(ds.mu(r), pair(ds.mu(s), A, B, L), C))
     return out
 
 
@@ -209,10 +213,8 @@ def obstruction(ds: DeformationSeries, precheck_window: int | None = None) -> Co
         out = LambdaPoly.zero((L, M))
         for r in range(1, n + 1):
             s = n + 1 - r
-            t1 = pair(ds.mu(r), pair(ds.mu(s), A, B, L), C.align((L,)), "·t")
-            t1 = t1.align((L, M, "·t")).subst_linear("·t", {L: 1, M: 1})
-            t2 = pair(ds.mu(r), A.align((M,)), pair(ds.mu(s), B, C, M), L).align((L, M))
-            out = out + t1 - t2
+            out = (out + outer_first(ds.mu(r), pair(ds.mu(s), A, B, L), C)
+                   - inner_first(ds.mu(r), A, pair(ds.mu(s), B, C, M)))
         return out.rename_context(ctx)
 
     return Cochain(0, 3, value)
@@ -272,18 +274,12 @@ def semiclassical_limit(ds: DeformationSeries, window: int = 3
     pre = check_n_deformation(ds, window, cross_check=False)
     if pre.status == FAIL:
         raise PreconditionFailed("series fails the deformation identity", [pre])
-    mu1 = ds.mu(1)
-
-    def bfn(g1, g2):
-        e12 = mu1.entry(g1, g2)
-        e21 = mu1.entry(g2, g1)
-        if e12 is None or e21 is None:
-            return None
-        return e12 - e21.rename_context(("·w",)).subst_dagger((RULE_VAR,))
-
+    # the bracket is the commutator of mu_1, read as a product of its own
+    mu1_alg = ConformalAlgebra("mu1", list(ds.alg.families), product=ds.mu(1),
+                               kind=KIND_ASSOCIATIVE)
     out = ConformalAlgebra(f"scl({ds.alg.name})", list(ds.alg.families),
                            product=ds.alg.product,
-                           bracket=StructureRule("bracket", bfn),
+                           bracket=commutator_bracket(mu1_alg),
                            kind=KIND_POISSON)
     reports = check_poisson(out, window)
     if ds.order < 2:
@@ -349,12 +345,10 @@ def nijenhuis_homomorphism_check(P: ConformalAlgebra, deformed: ConformalAlgebra
     gens = [ModElement.of(g) for g in P.generators(window)]
 
     def residual(a, b):
-        out = LambdaPoly.zero((RULE_VAR, "·r"))
-        for orig, defd, mark in ((P.product, deformed.product, 0), (P.bracket, deformed.bracket, 1)):
-            lhs = N.apply_lp(pair(defd, const_lp(a), const_lp(b), RULE_VAR))
-            rhs = pair(orig, const_lp(N.apply(a)), const_lp(N.apply(b)), RULE_VAR)
-            out = out + (lhs - rhs).align((RULE_VAR, "·r")).mul_var("·r", mark)
-        return out
+        return stack_rows([
+            N.apply_lp(pair(defd, const_lp(a), const_lp(b), RULE_VAR))
+            - pair(orig, const_lp(N.apply(a)), const_lp(N.apply(b)), RULE_VAR)
+            for orig, defd in ((P.product, deformed.product), (P.bracket, deformed.bracket))])
 
     return run_tuple_check("nijenhuis_homomorphism",
                            itertools.product(gens, repeat=2), residual)
@@ -376,52 +370,39 @@ def linear_deformation_check(P: ConformalAlgebra, varpi: StructureRule,
                for r in check_poisson(pair_alg, window)]
 
     prod, br = P.product, P.bracket
-    sum_LM = {L: 1, M: 1}
 
     def cross1(a, b, c):
         # Hochschild condition of varpi over the base product
         A, B, C = const_lp(a), const_lp(b), const_lp(c)
-        t1 = pair(varpi, A.align((M,)), pair(prod, B, C, M), L).align((L, M))
-        t2 = pair(prod, A.align((M,)), pair(varpi, B, C, M), L).align((L, M))
-        t3 = pair(varpi, pair(prod, A, B, L), C.align((L,)), "·t")
-        t3 = t3.align((L, M, "·t")).subst_linear("·t", sum_LM)
-        t4 = pair(prod, pair(varpi, A, B, L), C.align((L,)), "·t")
-        t4 = t4.align((L, M, "·t")).subst_linear("·t", sum_LM)
-        return t1 + t2 - t3 - t4
+        return (inner_first(varpi, A, pair(prod, B, C, M))
+                + inner_first(prod, A, pair(varpi, B, C, M))
+                - outer_first(varpi, pair(prod, A, B, L), C)
+                - outer_first(prod, pair(varpi, A, B, L), C))
 
     def cross2(a, b, c):
         # Chevalley-Eilenberg condition of omega over the base bracket
         A, B, C = const_lp(a), const_lp(b), const_lp(c)
-        t1 = pair(omega, pair(br, A, B, L), C.align((L,)), "·t")
-        t1 = t1.align((L, M, "·t")).subst_linear("·t", sum_LM)
-        t2 = pair(omega, A.align((M,)), pair(br, B, C, M), L).align((L, M))
-        t3 = pair(omega, B.align((L,)), pair(br, A, C, L), M).align((L, M))
-        t4 = pair(br, A.align((M,)), pair(omega, B, C, M), L).align((L, M))
-        t5 = pair(br, pair(omega, A, B, L), C.align((L,)), "·t")
-        t5 = t5.align((L, M, "·t")).subst_linear("·t", sum_LM)
-        t6 = pair(br, B.align((L,)), pair(omega, A, C, L), M).align((L, M))
-        return t1 - t2 + t3 - t4 + t5 + t6
+        return (outer_first(omega, pair(br, A, B, L), C)
+                - inner_first(omega, A, pair(br, B, C, M))
+                + swapped(omega, B, pair(br, A, C, L))
+                - inner_first(br, A, pair(omega, B, C, M))
+                + outer_first(br, pair(omega, A, B, L), C)
+                + swapped(br, B, pair(omega, A, C, L)))
 
     def cross3(a, b, c):
         # mixed condition linking varpi and omega
         A, B, C = const_lp(a), const_lp(b), const_lp(c)
-        t1 = pair(br, A.align((M,)), pair(varpi, B, C, M), L).align((L, M))
-        t2 = pair(varpi, pair(br, A, B, L), C.align((L,)), "·t")
-        t2 = t2.align((L, M, "·t")).subst_linear("·t", sum_LM)
-        t3 = pair(varpi, B.align((L,)), pair(br, A, C, L), M).align((L, M))
-        t4 = pair(prod, pair(omega, A, B, L), C.align((L,)), "·t")
-        t4 = t4.align((L, M, "·t")).subst_linear("·t", sum_LM)
-        t5 = pair(prod, B.align((L,)), pair(omega, A, C, L), M).align((L, M))
-        t6 = pair(omega, A.align((M,)), pair(prod, B, C, M), L).align((L, M))
-        return t1 - t2 - t3 - t4 - t5 + t6
+        return (inner_first(br, A, pair(varpi, B, C, M))
+                - outer_first(varpi, pair(br, A, B, L), C)
+                - swapped(varpi, B, pair(br, A, C, L))
+                - outer_first(prod, pair(omega, A, B, L), C)
+                - swapped(prod, B, pair(omega, A, C, L))
+                + inner_first(omega, A, pair(prod, B, C, M)))
 
     triples = list(itertools.product(gens, repeat=3))
-    reports.append(run_tuple_check("cross_product_cocycle", triples,
-                                   lambda a, b, c: cross1(a, b, c)))
-    reports.append(run_tuple_check("cross_bracket_cocycle", triples,
-                                   lambda a, b, c: cross2(a, b, c)))
-    reports.append(run_tuple_check("cross_mixed_cocycle", triples,
-                                   lambda a, b, c: cross3(a, b, c)))
+    reports.append(run_tuple_check("cross_product_cocycle", triples, cross1))
+    reports.append(run_tuple_check("cross_bracket_cocycle", triples, cross2))
+    reports.append(run_tuple_check("cross_mixed_cocycle", triples, cross3))
 
     # the graded 2-cocycle assertion through the total differential
     from .constructors import adjoint_module
@@ -452,18 +433,12 @@ def trivial_deformation_check(P: ConformalAlgebra, varpi: StructureRule,
 
     def residual(a, b):
         rows = []
-        rows.append(pair(varpi, const_lp(a), const_lp(b), RULE_VAR)
-                    - _deformed_product_value(P.product, N, a, b))
-        rows.append(N.apply_lp(pair(varpi, const_lp(a), const_lp(b), RULE_VAR))
-                    - pair(P.product, const_lp(N.apply(a)), const_lp(N.apply(b)), RULE_VAR))
-        rows.append(pair(omega, const_lp(a), const_lp(b), RULE_VAR)
-                    - _deformed_product_value(P.bracket, N, a, b))
-        rows.append(N.apply_lp(pair(omega, const_lp(a), const_lp(b), RULE_VAR))
-                    - pair(P.bracket, const_lp(N.apply(a)), const_lp(N.apply(b)), RULE_VAR))
-        out = LambdaPoly.zero((RULE_VAR, "·r"))
-        for k, r in enumerate(rows):
-            out = out + r.align((RULE_VAR, "·r")).mul_var("·r", k)
-        return out
+        for rule, base in ((varpi, P.product), (omega, P.bracket)):
+            ab = pair(rule, const_lp(a), const_lp(b), RULE_VAR)
+            rows.append(ab - _deformed_product_value(base, N, a, b))
+            rows.append(N.apply_lp(ab)
+                        - pair(base, const_lp(N.apply(a)), const_lp(N.apply(b)), RULE_VAR))
+        return stack_rows(rows)
 
     return run_tuple_check(
         "trivial_deformation", itertools.product(gens, repeat=2), residual,

@@ -2,7 +2,7 @@ import itertools
 from fractions import Fraction as Q
 from math import factorial
 
-from conformal_kernel.algebra import eval_op, suite_passes
+from conformal_kernel.algebra import ConformalAlgebra, eval_op, suite_passes
 from conformal_kernel.coeff import (
     CoeffAlgebra,
     CoeffElement,
@@ -137,6 +137,20 @@ class TestCoeffSuite:
         reports = {r.name: r for r in check_coeff_poisson(alg2, ModeWindow(-1, 1, 2))}
         assert reports["coeff_leibniz"].status == "fail" or reports["coeff_jacobi"].status == "fail"
         assert any(r.witnesses for r in reports.values() if r.status == "fail")
+
+
+    def test_perturbed_product_fails_associativity(self):
+        alg = poly_poisson()
+        key = (xg(1), xg(1))
+        bad = ConformalAlgebra("bad", alg.families, product=alg.product.override(
+            key, alg.product.entry(*key).scale(2)), bracket=alg.bracket, kind="poisson")
+        base = {r.name: r for r in check_coeff_poisson(alg, ModeWindow(-1, 1, 2))}
+        got = {r.name: r for r in check_coeff_poisson(bad, ModeWindow(-1, 1, 2))}
+        assert base["coeff_associativity"].status == "pass"
+        assert base["coeff_associativity"].checked == 9 ** 3
+        assert got["coeff_associativity"].status == "fail"
+        t, value = got["coeff_associativity"].witnesses[0]
+        assert all(isinstance(e, CoeffElement) for e in t) and not value.is_zero()
 
 
 class TestDerivationAndRelations:

@@ -238,6 +238,19 @@ class TestCocycleAndSolve:
                          lambda s: tuples_for(s, 4, seed=13))
         assert rep.status == "pass"
 
+    def test_escaped_tuples_leave_cocycle_test_inconclusive(self, tmp_path):
+        # ex2_17 capped at max 3: most tuples reach outside the family, and
+        # one checked tuple must not read as a pass
+        with open(os.path.join(DEMOS, "ex2_17.alg"), encoding="utf-8") as fh:
+            text = fh.read()
+        path = tmp_path / "ex2_17_capped.alg"
+        path.write_text(text.replace("family x arity 1 min 0\n",
+                                     "family x arity 1 min 0 max 3\n"))
+        P = parse_file(str(path)).algebra()
+        rep = is_cocycle(P, adjoint_module(P), {(0, 2): bilinear_cochain(P.product)},
+                         lambda k: random_gen_tuples(k, 4, 1, max_param=3))
+        assert (rep.status, rep.checked, rep.escaped) == ("inconclusive", 1, 7)
+
     def test_roundtrip_degree1(self, setup):
         P, V = setup
         bounds = AnsatzBounds(d_deg=1, l_deg=1, param_deg=1)

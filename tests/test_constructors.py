@@ -16,6 +16,7 @@ from conformal_kernel.algebra import (
     suite_passes,
 )
 from conformal_kernel.constructors import (
+    ConformalModule,
     OrdinaryAlgebra,
     adjoint_module,
     check_derivation,
@@ -233,6 +234,32 @@ class TestModules:
                             kind="poisson_module")
         reports = {r.name: r for r in check_module(alg, flipped, window=2)}
         assert reports["module_lie"].status == "fail"
+
+
+    # each module axiom against a perturbed action rule that breaks it; the
+    # unperturbed adjoint module must pass the same check
+    @pytest.mark.parametrize("check, side", [
+        ("module_assoc_left", "left"),
+        ("module_assoc_right", "right"),
+        ("module_assoc_mixed", "left"),
+        ("module_assoc_mixed", "right"),
+        ("module_lie", "lie"),
+        ("module_poisson_bracket_left", "lie"),
+        ("module_poisson_bracket_right", "lie"),
+        ("module_poisson_product_action", "lie"),
+    ])
+    def test_perturbed_action_fails_axiom(self, check, side):
+        alg = from_derivation(poly_ordinary(), ddx(), window=2)
+        mod = adjoint_module(alg)
+        rules = {"left": mod.left, "right": mod.right, "lie": mod.lie}
+        key = (xg(1), xg(1))
+        rules[side] = rules[side].override(key, rules[side].entry(*key).scale(2))
+        bad = ConformalModule("bad", mod.families, kind=mod.kind, **rules)
+        base = {r.name: r for r in check_module(alg, mod, window=2)}[check]
+        got = {r.name: r for r in check_module(alg, bad, window=2)}[check]
+        assert base.status == "pass" and base.checked == 27
+        assert got.status == "fail"
+        assert got.witnesses and not got.witnesses[0][1].is_zero()
 
 
 class TestSemidirect:

@@ -300,3 +300,26 @@ class TestLinearDeformation:
             (RULE_VAR,), ModElement.of(xg(g1.params[0] + g2.params[0])), (1,)))
         reports = linear_deformation_check(P, bad, StructureRule.zero("bracket"), window=2)
         assert any(r.status == "fail" for r in reports)
+
+    # each cross condition against a perturbed varpi or omega that breaks
+    # it; the Nijenhuis-induced pair must pass the same check
+    @pytest.mark.parametrize("check, which", [
+        ("cross_product_cocycle", "varpi"),
+        ("cross_bracket_cocycle", "omega"),
+        ("cross_mixed_cocycle", "varpi"),
+        ("cross_mixed_cocycle", "omega"),
+    ])
+    def test_perturbed_pair_fails_cross_condition(self, check, which):
+        P = poly_poisson()
+        defd = nijenhuis_deform(P, LinearRule(lambda g: ModElement.of(xg(g.params[0] + 1))),
+                                window=2)
+        rules = {"varpi": defd.product, "omega": defd.bracket}
+        key = (xg(1), xg(1))
+        rules[which] = rules[which].override(key, rules[which].entry(*key).scale(2))
+        base = {r.name: r for r in linear_deformation_check(
+            P, defd.product, defd.bracket, window=2)}[check]
+        got = {r.name: r for r in linear_deformation_check(
+            P, rules["varpi"], rules["omega"], window=2)}[check]
+        assert base.status == "pass" and base.checked == 27
+        assert got.status == "fail"
+        assert got.witnesses and not got.witnesses[0][1].is_zero()
