@@ -22,6 +22,7 @@ from conformal_kernel.constructors import (
     check_derivation,
     check_gd,
     check_module,
+    check_ordinary_poisson,
     check_pgd,
     current_algebra,
     direct_sum,
@@ -112,6 +113,99 @@ class TestGDPGD:
         reports = {r.name: r for r in check_gd(ord_, window=0)}
         assert reports["lie_jacobi"].status == "pass"
         assert reports["gd_compatibility"].status == "fail"
+
+
+def canonical_poisson():
+    """Q[p, q] on monomials x[i, j] = p^i q^j with {p, q} = 1, the derivation
+    d/dp and the Novikov product a*b = a (d/dp b): a PGD algebra."""
+    def prod(g1, g2):
+        (a, b), (c, d) = g1.params, g2.params
+        return ModElement.of(gen("x", a + c, b + d))
+
+    def br(g1, g2):
+        (a, b), (c, d) = g1.params, g2.params
+        k = a * d - b * c
+        return ModElement.of(gen("x", a + c - 1, b + d - 1)).scale(k) if k else ModElement.zero()
+
+    def star(g1, g2):
+        (a, b), (c, d) = g1.params, g2.params
+        return ModElement.of(gen("x", a + c - 1, b + d)).scale(c) if c else ModElement.zero()
+
+    def dp(g):
+        a, b = g.params
+        return ModElement.of(gen("x", a - 1, b)).scale(a) if a else ModElement.zero()
+
+    return OrdinaryAlgebra("canonical", [GenFamily("x", 2, lo=0)], product=prod,
+                           bracket=br, star=star, derivation=LinearRule(dp))
+
+
+def ordinary_reports(ord_):
+    """Every ordinary check, by name, on the window of x[0..1, 0..1]."""
+    reports = check_pgd(ord_, window=1) + check_derivation(ord_, ord_.derivation, window=1)
+    return {r.name: r for r in reports}
+
+
+class TestOrdinaryChecks:
+    ARITY = {"ord_commutativity": 2, "ord_antisymmetry": 2, "lie_antisymmetry": 2,
+             "derivation_on_product": 2, "derivation_on_bracket": 2}
+
+    def test_all_fourteen_checks_run(self):
+        assert len(ordinary_reports(canonical_poisson())) == 14
+
+    # each ordinary check against one doubled table entry that breaks it; the
+    # unperturbed algebra must pass the same check on every tuple
+    @pytest.mark.parametrize("check, side, key", [
+        ("ord_associativity", "product", ((1, 0), (1, 0))),
+        ("ord_commutativity", "product", ((1, 0), (0, 1))),
+        ("ord_antisymmetry", "bracket", ((1, 0), (0, 1))),
+        ("ord_jacobi", "bracket", ((0, 1), (1, 1))),
+        ("ord_leibniz", "product", ((1, 0), (0, 1))),
+        ("ord_leibniz", "bracket", ((1, 0), (0, 1))),
+        ("novikov_right_commute", "star", ((1, 0), (1, 0))),
+        ("novikov_left_symmetry", "star", ((1, 1), (1, 1))),
+        ("lie_antisymmetry", "bracket", ((1, 0), (0, 1))),
+        ("lie_jacobi", "bracket", ((0, 1), (1, 1))),
+        ("gd_compatibility", "bracket", ((1, 0), (1, 1))),
+        ("gd_compatibility", "star", ((0, 1), (1, 1))),
+        ("pgd_right_compat", "star", ((1, 1), (1, 1))),
+        ("pgd_right_compat", "product", ((0, 0), (0, 0))),
+        ("pgd_left_derivation", "star", ((1, 0), (1, 0))),
+        ("pgd_left_derivation", "product", ((0, 1), (0, 1))),
+        ("derivation_on_product", "product", ((1, 1), (1, 1))),
+        ("derivation_on_product", "derivation", ((1, 0),)),
+        ("derivation_on_bracket", "bracket", ((0, 1), (1, 1))),
+        ("derivation_on_bracket", "derivation", ((1, 1),)),
+    ])
+    def test_perturbed_entry_fails_check(self, check, side, key):
+        ord_ = canonical_poisson()
+        key = tuple(gen("x", *p) for p in key)
+        parts = {"product": ord_.product, "bracket": ord_.bracket, "star": ord_.star}
+        D = ord_.derivation
+        if side == "derivation":
+            D = LinearRule(lambda g: ord_.derivation.entry(g).scale(2 if (g,) == key else 1))
+        else:
+            f = parts[side]
+            parts[side] = lambda g1, g2: f(g1, g2).scale(2 if (g1, g2) == key else 1)
+        bad = OrdinaryAlgebra("bad", ord_.families, derivation=D, **parts)
+        base = ordinary_reports(ord_)[check]
+        got = ordinary_reports(bad)[check]
+        assert base.status == "pass" and base.escaped == 0
+        assert base.checked == 4 ** self.ARITY.get(check, 3)
+        assert got.status == "fail"
+        assert got.witnesses and not got.witnesses[0][1].is_zero()
+
+    def test_d_dependent_product_value_rejected(self):
+        ord_ = canonical_poisson()
+        f = ord_.product
+        key = (gen("x", 1, 0), gen("x", 1, 0))
+
+        def prod(g1, g2):
+            v = f(g1, g2)
+            return ModElement.of(gen("x", 2, 0), DPoly.d_power(1)) if (g1, g2) == key else v
+
+        bad = OrdinaryAlgebra("bad", ord_.families, product=prod, bracket=ord_.bracket)
+        with pytest.raises(ValueError, match="D-dependent"):
+            check_ordinary_poisson(bad, window=1)
 
 
 class TestQuadratic:
