@@ -3,13 +3,16 @@ conformal modules, their axiom checkers, and semidirect products.
 
 Ordinary (non-conformal) algebras are presented the same way as conformal
 ones (tables on generator pairs) except that values are plain module
-elements with constant coefficients (no D, no spectral variables).
+elements with constant coefficients (no D, no spectral variables).  Such a
+table is a conformal structure rule that is constant in its spectral
+variable, so the ordinary axioms are checked with the conformal evaluator.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 from .algebra import (
@@ -22,8 +25,12 @@ from .algebra import (
     LinearRule,
     PreconditionFailed,
     StructureRule,
-    WindowEscape,
+    _pair_comm_residual,
+    _triple_assoc_residual,
+    _triple_jacobi_residual,
+    _triple_leibniz_residual,
     const_lp,
+    eval_op,
     inner_first,
     outer_first,
     pair,
@@ -34,7 +41,7 @@ from .algebra import (
     swapped,
     window_generators,
 )
-from .symcore import DPoly, GenIndex, LambdaPoly, ModElement, Q
+from .symcore import GenIndex, LambdaPoly, ModElement
 
 OrdRule = Callable[[GenIndex, GenIndex], ModElement | None]
 
@@ -73,183 +80,108 @@ def ord_table(table: dict[tuple[GenIndex, GenIndex], ModElement], total: bool = 
     return fn
 
 
-def ord_apply(rule: OrdRule, u: ModElement, v: ModElement) -> ModElement:
-    """Bilinear extension of an ordinary table (no sesquilinearity involved)."""
-    out = ModElement.zero()
-    for g1, p1 in u.terms.items():
-        c1 = _const_of(p1)
-        for g2, p2 in v.terms.items():
-            c2 = _const_of(p2)
-            w = rule(g1, g2)
-            if w is None:
-                raise WindowEscape(("ordinary", g1, g2))
-            out = out + w.scale(c1 * c2)
-    return out
+def _lift(rule: OrdRule | None, kind: str) -> StructureRule | None:
+    """An ordinary table as a lambda-free structure rule; None stays a window
+    escape, and a D-dependent value is refused."""
+    if rule is None:
+        return None
+
+    def fn(g1, g2):
+        v = rule(g1, g2)
+        return None if v is None else LambdaPoly.of((RULE_VAR,), _d_free(v))
+    return StructureRule(kind, fn)
 
 
-def _const_of(p: DPoly) -> Q:
-    if p.degree > 0:
+def _d_free(v: ModElement) -> ModElement:
+    if any(p.degree > 0 for p in v.terms.values()):
         raise ValueError("ordinary algebra element has a D-dependent coefficient")
-    return p.coeffs[0] if p.coeffs else Q(0)
+    return v
 
 
-def _gens_m(ord_: OrdinaryAlgebra, window: int) -> list[ModElement]:
-    return [ModElement.of(g) for g in ord_.generators(window)]
+def _sweep(ord_: OrdinaryAlgebra, window: int, checks) -> list[CheckReport]:
+    """run_tuple_check of each (name, arity, residual) over all arity-tuples
+    of the window's generators."""
+    gens = [ModElement.of(g) for g in ord_.generators(window)]
+    return [run_tuple_check(name, itertools.product(gens, repeat=k), fn)
+            for name, k, fn in checks]
 
 
-# ordinary axiom sweeps -------------------------------------------------------
-
-def check_ordinary_associativity(ord_: OrdinaryAlgebra, window: int) -> CheckReport:
-    gens = _gens_m(ord_, window)
-    f = ord_.product
-    return run_tuple_check(
-        "ord_associativity",
-        itertools.product(gens, repeat=3),
-        lambda a, b, c: const_lp(
-            ord_apply(f, ord_apply(f, a, b), c) - ord_apply(f, a, ord_apply(f, b, c))
-        ),
-    )
-
+# ordinary axiom sweeps: an ordinary algebra is a conformal algebra with
+# lambda-free rules, so each axiom is a signed sum of the associator terms,
+# every one of them constant in (L, M)
 
 def check_ordinary_poisson(ord_: OrdinaryAlgebra, window: int, commutative: bool = True) -> list[CheckReport]:
-    gens = _gens_m(ord_, window)
-    prod, br = ord_.product, ord_.bracket
-    reports = [check_ordinary_associativity(ord_, window)]
+    prod, br = _lift(ord_.product, "product"), _lift(ord_.bracket, "bracket")
+    checks = [("ord_associativity", 3, lambda a, b, c: -_triple_assoc_residual(prod, a, b, c))]
     if commutative:
-        reports.append(run_tuple_check(
-            "ord_commutativity",
-            itertools.product(gens, repeat=2),
-            lambda a, b: const_lp(ord_apply(prod, a, b) - ord_apply(prod, b, a)),
-        ))
-    reports.append(run_tuple_check(
-        "ord_antisymmetry",
-        itertools.product(gens, repeat=2),
-        lambda a, b: const_lp(ord_apply(br, a, b) + ord_apply(br, b, a)),
-    ))
-    reports.append(run_tuple_check(
-        "ord_jacobi",
-        itertools.product(gens, repeat=3),
-        lambda a, b, c: const_lp(
-            ord_apply(br, a, ord_apply(br, b, c))
-            - ord_apply(br, ord_apply(br, a, b), c)
-            - ord_apply(br, b, ord_apply(br, a, c))
-        ),
-    ))
-    reports.append(run_tuple_check(
-        "ord_leibniz",
-        itertools.product(gens, repeat=3),
-        lambda a, b, c: const_lp(
-            ord_apply(br, a, ord_apply(prod, b, c))
-            - ord_apply(prod, ord_apply(br, a, b), c)
-            - ord_apply(prod, b, ord_apply(br, a, c))
-        ),
-    ))
-    return reports
+        checks.append(("ord_commutativity", 2, partial(_pair_comm_residual, prod, +1)))
+    checks += [
+        ("ord_antisymmetry", 2, partial(_pair_comm_residual, br, -1)),
+        ("ord_jacobi", 3, partial(_triple_jacobi_residual, br)),
+        ("ord_leibniz", 3, partial(_triple_leibniz_residual, prod, br)),
+    ]
+    return _sweep(ord_, window, checks)
 
 
 def check_gd(ord_: OrdinaryAlgebra, window: int = 3) -> list[CheckReport]:
     """Novikov + Lie + Gel'fand-Dorfman compatibility."""
-    gens = _gens_m(ord_, window)
-    star, br = ord_.star, ord_.bracket
-    reports = [
-        run_tuple_check(
-            "novikov_right_commute",
-            itertools.product(gens, repeat=3),
-            lambda a, b, c: const_lp(
-                ord_apply(star, ord_apply(star, a, b), c) - ord_apply(star, ord_apply(star, a, c), b)
-            ),
-        ),
-        run_tuple_check(
-            "novikov_left_symmetry",
-            itertools.product(gens, repeat=3),
-            lambda a, b, c: const_lp(
-                ord_apply(star, ord_apply(star, a, b), c) - ord_apply(star, a, ord_apply(star, b, c))
-                - ord_apply(star, ord_apply(star, b, a), c) + ord_apply(star, b, ord_apply(star, a, c))
-            ),
-        ),
-        run_tuple_check(
-            "lie_antisymmetry",
-            itertools.product(gens, repeat=2),
-            lambda a, b: const_lp(ord_apply(br, a, b) + ord_apply(br, b, a)),
-        ),
-        run_tuple_check(
-            "lie_jacobi",
-            itertools.product(gens, repeat=3),
-            lambda a, b, c: const_lp(
-                ord_apply(br, a, ord_apply(br, b, c))
-                - ord_apply(br, ord_apply(br, a, b), c)
-                - ord_apply(br, b, ord_apply(br, a, c))
-            ),
-        ),
-        run_tuple_check(
-            "gd_compatibility",
-            itertools.product(gens, repeat=3),
-            lambda a, b, c: const_lp(
-                ord_apply(br, ord_apply(star, a, b), c)
-                + ord_apply(star, ord_apply(br, a, b), c)
-                - ord_apply(star, a, ord_apply(br, b, c))
-                - ord_apply(br, ord_apply(star, a, c), b)
-                - ord_apply(star, ord_apply(br, a, c), b)
-            ),
-        ),
-    ]
-    return reports
+    star, br = _lift(ord_.star, "star"), _lift(ord_.bracket, "bracket")
+
+    def right_commute(a, b, c):  # (a * b) * c = (a * c) * b
+        A, B, C = const_lp(a), const_lp(b), const_lp(c)
+        return (outer_first(star, pair(star, A, B, L), C)
+                - outer_first(star, pair(star, A, C, L), B))
+
+    def gd(a, b, c):  # [a * b, c] + [a, b] * c = a * [b, c] + [a * c, b] + [a, c] * b
+        A, B, C = const_lp(a), const_lp(b), const_lp(c)
+        return (outer_first(br, pair(star, A, B, L), C)
+                + outer_first(star, pair(br, A, B, L), C)
+                - inner_first(star, A, pair(br, B, C, M))
+                - outer_first(br, pair(star, A, C, L), B)
+                - outer_first(star, pair(br, A, C, L), B))
+
+    return _sweep(ord_, window, [
+        ("novikov_right_commute", 3, right_commute),
+        ("novikov_left_symmetry", 3, lambda a, b, c: (_triple_assoc_residual(star, b, a, c)
+                                                      - _triple_assoc_residual(star, a, b, c))),
+        ("lie_antisymmetry", 2, partial(_pair_comm_residual, br, -1)),
+        ("lie_jacobi", 3, partial(_triple_jacobi_residual, br)),
+        ("gd_compatibility", 3, gd),
+    ])
 
 
 def check_pgd(ord_: OrdinaryAlgebra, window: int = 3, commutative: bool = True) -> list[CheckReport]:
     """GD + ordinary Poisson + the two product/star compatibility laws."""
-    gens = _gens_m(ord_, window)
-    star, prod = ord_.star, ord_.product
-    reports = check_gd(ord_, window) + check_ordinary_poisson(ord_, window, commutative)
-    reports.append(run_tuple_check(
-        "pgd_right_compat",  # (b o c) * a = b o (c * a) = (b * a) o c
-        itertools.product(gens, repeat=3),
-        lambda a, b, c: _pgd_right(star, prod, a, b, c),
-    ))
-    reports.append(run_tuple_check(
-        "pgd_left_derivation",  # a * (b o c) = (a*b) o c + b o (a*c)
-        itertools.product(gens, repeat=3),
-        lambda a, b, c: const_lp(
-            ord_apply(star, a, ord_apply(prod, b, c))
-            - ord_apply(prod, ord_apply(star, a, b), c)
-            - ord_apply(prod, b, ord_apply(star, a, c))
-        ),
-    ))
-    return reports
+    star, prod = _lift(ord_.star, "star"), _lift(ord_.product, "product")
 
+    def right_compat(a, b, c):
+        # both equalities of (b o c) * a = b o (c * a) = (b * a) o c, as rows
+        A, B, C = const_lp(a), const_lp(b), const_lp(c)
+        lhs = outer_first(star, pair(prod, B, C, L), A)
+        return stack_rows([lhs - inner_first(prod, B, pair(star, C, A, M)),
+                           lhs - outer_first(prod, pair(star, B, A, L), C)])
 
-def _pgd_right(star, prod, a, b, c) -> LambdaPoly:
-    # residual packs both equalities of (b o c)*a = b o (c*a) = (b*a) o c
-    lhs = ord_apply(star, ord_apply(prod, b, c), a)
-    r1 = lhs - ord_apply(prod, b, ord_apply(star, c, a))
-    r2 = lhs - ord_apply(prod, ord_apply(star, b, a), c)
-    return stack_rows([const_lp(r1), const_lp(r2)])
+    return check_gd(ord_, window) + check_ordinary_poisson(ord_, window, commutative) + _sweep(
+        ord_, window, [
+            ("pgd_right_compat", 3, right_compat),
+            # a * (b o c) = (a * b) o c + b o (a * c): the Leibniz shape
+            ("pgd_left_derivation", 3, partial(_triple_leibniz_residual, prod, star)),
+        ])
 
 
 def check_derivation(ord_: OrdinaryAlgebra, D: LinearRule, window: int = 3) -> list[CheckReport]:
-    gens = _gens_m(ord_, window)
-    reports = []
-    if ord_.product is not None:
-        prod = ord_.product
-        reports.append(run_tuple_check(
-            "derivation_on_product",
-            itertools.product(gens, repeat=2),
-            lambda a, b: const_lp(
-                D.apply(ord_apply(prod, a, b))
-                - ord_apply(prod, D.apply(a), b) - ord_apply(prod, a, D.apply(b))
-            ),
-        ))
-    if ord_.bracket is not None:
-        br = ord_.bracket
-        reports.append(run_tuple_check(
-            "derivation_on_bracket",
-            itertools.product(gens, repeat=2),
-            lambda a, b: const_lp(
-                D.apply(ord_apply(br, a, b))
-                - ord_apply(br, D.apply(a), b) - ord_apply(br, a, D.apply(b))
-            ),
-        ))
-    return reports
+    def on(rule):  # D(a op b) = D(a) op b + a op D(b)
+        def residual(a, b):
+            A, B = const_lp(a), const_lp(b)
+            return (D.apply_lp(pair(rule, A, B, L))
+                    - pair(rule, const_lp(_d_free(D.apply(a))), B, L)
+                    - pair(rule, A, const_lp(_d_free(D.apply(b))), L))
+        return residual
+
+    checks = [(f"derivation_on_{kind}", 2, on(_lift(rule, kind)))
+              for kind, rule in (("product", ord_.product), ("bracket", ord_.bracket))
+              if rule is not None]
+    return _sweep(ord_, window, checks)
 
 
 # ---------------------------------------------------------------------------
@@ -258,21 +190,10 @@ def check_derivation(ord_: OrdinaryAlgebra, D: LinearRule, window: int = 3) -> l
 
 def current_algebra(ord_: OrdinaryAlgebra, kind: str = KIND_POISSON) -> ConformalAlgebra:
     """P = Q[D] (x) A with lambda-independent structure rules."""
-    prod = ord_.product or ord_table({})
-    br = ord_.bracket or ord_table({})
-
-    def pfn(g1, g2):
-        v = prod(g1, g2)
-        return None if v is None else LambdaPoly.of((RULE_VAR,), v)
-
-    def bfn(g1, g2):
-        v = br(g1, g2)
-        return None if v is None else LambdaPoly.of((RULE_VAR,), v)
-
     return ConformalAlgebra(
         f"current({ord_.name})", list(ord_.families),
-        product=StructureRule("product", pfn),
-        bracket=StructureRule("bracket", bfn),
+        product=_lift(ord_.product or ord_table({}), "product"),
+        bracket=_lift(ord_.bracket or ord_table({}), "bracket"),
         kind=kind,
     )
 
@@ -286,7 +207,6 @@ def quadratic_from_pgd(ord_: OrdinaryAlgebra, window: int = 3, kind: str = KIND_
             raise PreconditionFailed("PGD axioms fail", reports)
     star = ord_.star
     br = ord_.bracket or ord_table({})
-    prod = ord_.product
 
     def bfn(g1, g2):
         ba = star(g2, g1)
@@ -297,13 +217,9 @@ def quadratic_from_pgd(ord_: OrdinaryAlgebra, window: int = 3, kind: str = KIND_
         out = LambdaPoly.of((RULE_VAR,), ba.d_apply(1) + lie, (0,))
         return out + LambdaPoly.of((RULE_VAR,), ab + ba, (1,))
 
-    def pfn(g1, g2):
-        v = prod(g1, g2)
-        return None if v is None else LambdaPoly.of((RULE_VAR,), v)
-
     return ConformalAlgebra(
         f"quadratic({ord_.name})", list(ord_.families),
-        product=StructureRule("product", pfn),
+        product=_lift(ord_.product, "product"),
         bracket=StructureRule("bracket", bfn),
         kind=kind,
     )
@@ -311,11 +227,10 @@ def quadratic_from_pgd(ord_: OrdinaryAlgebra, window: int = 3, kind: str = KIND_
 
 def pgd_from_derivation(ord_: OrdinaryAlgebra, D: LinearRule) -> OrdinaryAlgebra:
     """Attach the Novikov product a*b = a o D(b) to a Poisson algebra."""
-    prod = ord_.product
+    prod = _lift(ord_.product, "product")
 
     def star(g1, g2):
-        db = D.entry(g2)
-        return ord_apply(prod, ModElement.of(g1), db)
+        return eval_op(prod, ModElement.of(g1), _d_free(D.entry(g2))).coefficient((0,))
 
     return OrdinaryAlgebra(f"{ord_.name}*D", list(ord_.families),
                            product=ord_.product, bracket=ord_.bracket or ord_table({}),
