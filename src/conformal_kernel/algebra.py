@@ -298,20 +298,30 @@ def run_tuple_check(name: str, tuples: Iterable[tuple],
                     residual: Callable[..., LambdaPoly],
                     notes: Iterable[str] = ()) -> CheckReport:
     """Evaluate a residual on every tuple; exact zero everywhere is a pass."""
-    witnesses: list[tuple[tuple, LambdaPoly]] = []
+    [report] = _run_tuple_checks((name,), tuples, lambda *t: (residual(*t),))
+    report.notes = list(notes)
+    return report
+
+
+def _run_tuple_checks(names: Sequence[str], tuples: Iterable[tuple],
+                      residuals: Callable[..., Sequence[LambdaPoly]]) -> list[CheckReport]:
+    """run_tuple_check of several residuals, evaluated together on each
+    tuple, one report per name; a tuple whose evaluation escapes a rule
+    window counts as escaped for all of them."""
+    witnesses: list[list[tuple[tuple, LambdaPoly]]] = [[] for _ in names]
     checked = escaped = 0
     for t in tuples:
         try:
-            r = residual(*t)
+            rs = residuals(*t)
         except WindowEscape:
             escaped += 1
             continue
         checked += 1
-        if not r.is_zero():
-            if len(witnesses) < MAX_WITNESSES:
-                witnesses.append((t, r))
-    return CheckReport(name, sweep_status(witnesses, escaped), witnesses, checked, escaped,
-                       list(notes))
+        for wit, r in zip(witnesses, rs):
+            if not r.is_zero() and len(wit) < MAX_WITNESSES:
+                wit.append((t, r))
+    return [CheckReport(name, sweep_status(wit, escaped), wit, checked, escaped)
+            for name, wit in zip(names, witnesses)]
 
 
 def sweep_status(witnesses, escaped: int) -> str:

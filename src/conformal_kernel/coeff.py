@@ -21,7 +21,6 @@ from .algebra import (
     CheckReport,
     ConformalAlgebra,
     PASS,
-    FAIL,
     StructureRule,
     WindowEscape,
     run_tuple_check,
@@ -313,22 +312,18 @@ def annihilation_relations_check(alg: ConformalAlgebra, window: ModeWindow,
 
 def binomial_identity_check(m_max: int = 8, n_max: int = 8) -> CheckReport:
     """sum_i C(m,i) C(n,i'+j'-i) C(i,i') = C(m,i') C(m+n-i',j') exhaustively."""
-    failures = []
-    checked = 0
-    for m in range(m_max + 1):
-        for n in range(n_max + 1):
-            for ip in range(m + 1):
-                for jp in range(m + n + 1):
-                    lhs = Q(0)
-                    for i in range(ip, m + 1):
-                        lhs += gen_binom(m, i) * gen_binom(n, ip + jp - i) * gen_binom(i, ip)
-                    rhs = gen_binom(m, ip) * gen_binom(m + n - ip, jp)
-                    checked += 1
-                    if lhs != rhs and len(failures) < 4:
-                        failures.append(((m, n, ip, jp), LambdaPoly.of(
-                            (), ModElement.of(GenIndex("residual", ()),).scale(lhs - rhs))))
-    status = FAIL if failures else PASS
-    return CheckReport("binomial_identity", status, failures, checked, 0)
+    def residual(m, n, ip, jp):
+        lhs = Q(0)
+        for i in range(ip, m + 1):
+            lhs += gen_binom(m, i) * gen_binom(n, ip + jp - i) * gen_binom(i, ip)
+        rhs = gen_binom(m, ip) * gen_binom(m + n - ip, jp)
+        return LambdaPoly.of((), ModElement.of(GenIndex("residual", ())).scale(lhs - rhs))
+
+    return run_tuple_check(
+        "binomial_identity",
+        ((m, n, ip, jp) for m in range(m_max + 1) for n in range(n_max + 1)
+         for ip in range(m + 1) for jp in range(m + n + 1)),
+        residual)
 
 
 def closed_form_comparison(alg: ConformalAlgebra, window: ModeWindow) -> CheckReport:

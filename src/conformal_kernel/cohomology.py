@@ -27,16 +27,18 @@ import hashlib
 import itertools
 import os
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, Iterable, Sequence
 
 from .algebra import (
     CheckReport,
     ConformalAlgebra,
     MAX_WITNESSES,
+    PreconditionFailed,
     StructureRule,
     UnboundedAnsatz,
     WindowEscape,
+    _run_tuple_checks,
     const_lp,
     pair,
     pair_at,
@@ -555,6 +557,15 @@ def random_cochain(m: int, n: int, seed: int, family: str = "x",
     return Cochain(m, n, raw)
 
 
+def _sample_family(P: ConformalAlgebra) -> str:
+    """The algebra's generator family for random_cochain and
+    random_gen_tuples, which draw parameters from 0 up."""
+    fams = P.families
+    if len(fams) != 1 or fams[0].arity != 1 or fams[0].lo != 0:
+        raise PreconditionFailed("random cochains need a single 1-parameter family with min 0")
+    return fams[0].name
+
+
 def random_gen_tuples(arity: int, count: int, seed: int, family: str = "x",
                       max_param: int = 2) -> list[tuple[GenIndex, ...]]:
     out = []
@@ -643,7 +654,10 @@ def check_complex_identities(P: ConformalAlgebra, V: ConformalModule,
     seeded cochain and tuples.  The units may run on several cores; each
     section sums its units' counts and keeps the first witnesses in unit
     order, so the reports do not depend on the number of cores.  A tuple
-    whose evaluation escapes a rule window counts as escaped."""
+    whose evaluation escapes a rule window counts as escaped.  Raises
+    PreconditionFailed unless the algebra is one 1-parameter family with
+    min 0, the generators random cochains are drawn on."""
+    fam = _sample_family(P)
     bidegs = fgv_bidegrees(max_degree)
 
     def l_max(m, n):
@@ -655,28 +669,32 @@ def check_complex_identities(P: ConformalAlgebra, V: ConformalModule,
         return _sweep(si, [(tag, lambda t: lhs.value(t) - rhs.value(t), tuples)])
 
     def d2(m, n, si):
-        gamma = random_cochain(m, n, seed=seed * 100003 + si * 17 + m * 7 + n,
+        gamma = random_cochain(m, n, seed=seed * 100003 + si * 17 + m * 7 + n, family=fam,
                                d_max=d_max, l_max=l_max(m, n))
-        tuples = random_gen_tuples(m + n + 2, tuples_per_sample, seed + si + 1)
+        tuples = random_gen_tuples(m + n + 2, tuples_per_sample, seed + si + 1, fam)
         g1 = gamma if n >= 1 else gamma.retag(m - 1, 1)
         return _sweep(si, [(("d_ce2", m, n), d_ce(P, V, d_ce(P, V, gamma)).value, tuples),
                            (("d_h2", m, n), d_h(P, V, d_h(P, V, g1)).value, tuples)])
 
     def bottom(m, si):
-        gamma = random_cochain(m, 0, seed=seed * 31 + si * 5 + m, l_max=l_max(m, 0))
-        tuples = random_gen_tuples(m + 2, tuples_per_sample, seed + 7 * si + m)
+        gamma = random_cochain(m, 0, seed=seed * 31 + si * 5 + m, family=fam,
+                               l_max=l_max(m, 0))
+        tuples = random_gen_tuples(m + 2, tuples_per_sample, seed + 7 * si + m, fam)
         return square(("square_bottom", m), si, gamma, tuples)
 
     def inner(m, n, si):
-        gamma = random_cochain(m, n, seed=seed * 57 + si * 3 + m + 11 * n, l_max=l_max(m, n))
-        tuples = random_gen_tuples(m + n + 2, tuples_per_sample, seed + 13 * si + n)
+        gamma = random_cochain(m, n, seed=seed * 57 + si * 3 + m + 11 * n, family=fam,
+                               l_max=l_max(m, n))
+        tuples = random_gen_tuples(m + n + 2, tuples_per_sample, seed + 13 * si + n, fam)
         return square(("square_inner", m, n), si, gamma, tuples)
 
     def total(m, n, si):
-        gamma = random_cochain(m, n, seed=seed * 91 + si * 29 + 3 * m + n, l_max=l_max(m, n))
+        gamma = random_cochain(m, n, seed=seed * 91 + si * 29 + 3 * m + n, family=fam,
+                               l_max=l_max(m, n))
         twice = d_total(P, V, d_total(P, V, {(m, n): gamma}))
         return _sweep(si, [(("d_total2", m, n, key), twice[key].value,
-                            random_gen_tuples(twice[key].slots, 1, seed + si + key[0] * 5 + key[1]))
+                            random_gen_tuples(twice[key].slots, 1,
+                                              seed + si + key[0] * 5 + key[1], fam))
                            for key in sorted(twice)])
 
     # (report name, its units as (weight, unit)); the weight is the slot
@@ -717,18 +735,18 @@ def check_action_module_laws(P: ConformalAlgebra, V: ConformalModule,
       engine-derived identity carrying that defect term, which holds exactly.
 
     A tuple on which any law escapes a rule window counts as escaped for
-    all four laws.
+    all four laws.  Raises PreconditionFailed unless the algebra is one
+    1-parameter family with min 0 (see random_cochain).
     """
-    wit = {"sesqui": [], "bracket": [], "dtilde_bare": [], "dtilde_corrected": []}
-    checked = escaped = 0
-    fam = "x"
+    fam = _sample_family(P)
     lam, mu = "·L", "·M"
-    for si in range(samples):
-        gamma = random_cochain(0, n, seed=seed * 7919 + si)
+
+    @lru_cache(maxsize=1)
+    def sample(si):
+        gamma = random_cochain(0, n, seed=seed * 7919 + si, family=fam)
         h = _hash_ints(seed, "act", si)
         x = ModElement.of(GenIndex(fam, (h[0] % 3,)))
         y = ModElement.of(GenIndex(fam, (h[1] % 3,)))
-        tuples2 = random_gen_tuples(n, 2, seed + si)
 
         act_x = hochschild_module_action(P, V, x, gamma, lam)
         act_dx = hochschild_module_action(P, V, x.d_apply(1), gamma, lam)
@@ -760,34 +778,21 @@ def check_action_module_laws(P: ConformalAlgebra, V: ConformalModule,
                 P, V, hochschild_module_action(P, V, x, gamma, lam), const_lp(y), mu, t)
             full = (lam, mu) + gamma.context
             v3 = lhs3 - xy.align(full) + yx.align(full)
-            return {"sesqui": v1, "dtilde_bare": v2, "dtilde_corrected": v2 - defect,
-                    "bracket": v3}
+            return v1, v3, v2, v2 - defect
 
-        for t in tuples2:
-            try:
-                got = residuals(t)
-            except WindowEscape:
-                escaped += 1
-                continue
-            checked += 1
-            for key, v in got.items():
-                if not v.is_zero() and len(wit[key]) < MAX_WITNESSES:
-                    wit[key].append(((si,) + t, v))
+        return residuals
 
-    def rep(name, key, notes=()):
-        return CheckReport(name, sweep_status(wit[key], escaped), wit[key], checked, escaped,
-                           list(notes))
-
-    return [
-        rep("action_sesquilinearity", "sesqui"),
-        rep("action_bracket_law", "bracket"),
-        rep("action_dtilde_bare_law", "dtilde_bare",
-            ["bare D-compatibility law x(Dt g) = (Dt+lam)(x g); a nonzero "
-             "residual equals the structural defect lam*{a_1..[x_lam a_n]}_g "
-             "of the action rule"]),
-        rep("action_dtilde_with_defect_term", "dtilde_corrected",
-            ["engine-derived identity: x(Dt g) = (Dt+lam)(x g) + lam*{a_1..[x_lam a_n]}_g"]),
-    ]
+    reports = _run_tuple_checks(
+        ["action_sesquilinearity", "action_bracket_law", "action_dtilde_bare_law",
+         "action_dtilde_with_defect_term"],
+        ((si,) + t for si in range(samples) for t in random_gen_tuples(n, 2, seed + si, fam)),
+        lambda si, *t: sample(si)(t))
+    reports[2].notes = ["bare D-compatibility law x(Dt g) = (Dt+lam)(x g); a nonzero "
+                        "residual equals the structural defect lam*{a_1..[x_lam a_n]}_g "
+                        "of the action rule"]
+    reports[3].notes = ["engine-derived identity: x(Dt g) = (Dt+lam)(x g) + "
+                        "lam*{a_1..[x_lam a_n]}_g"]
+    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -857,34 +862,30 @@ def _coordinates(value: LambdaPoly):
 def solve_linear_combination(images: list[Cochain], target: Cochain,
                              tuples: list[tuple[GenIndex, ...]]) -> list[Q] | None:
     """Exact coefficients c with sum c_i images_i = target on the tuples."""
-    coords: dict = {}
-    rows_target: dict = {}
+    return _solve_on(range(len(tuples)), [partial(_value_at, img, tuples) for img in images],
+                     partial(_value_at, target, tuples))
 
-    def coord_index(key):
-        if key not in coords:
-            coords[key] = len(coords)
-        return coords[key]
 
-    cols = []
-    for img in images:
-        col: dict[int, Q] = {}
-        for ti, t in enumerate(tuples):
-            for key, c in _coordinates(img.value(t)):
-                col[coord_index((ti, key))] = col.get(coord_index((ti, key)), Q(0)) + c
-        cols.append(col)
-    for ti, t in enumerate(tuples):
-        for key, c in _coordinates(target.value(t)):
-            rows_target[coord_index((ti, key))] = c
+def _value_at(coch: Cochain, tuples, i: int) -> LambdaPoly:
+    return coch.value(tuples[i])
 
-    nrows = len(coords)
-    matrix = [[Q(0)] * len(images) for _ in range(nrows)]
-    rhs = [Q(0)] * nrows
-    for j, col in enumerate(cols):
-        for i, c in col.items():
-            matrix[i][j] = c
-    for i, c in rows_target.items():
-        rhs[i] = c
-    return solve_exact(matrix, rhs)
+
+def _solve_on(points: Iterable, columns: list[Callable], target: Callable) -> list[Q] | None:
+    """Exact c with sum_j c_j columns[j](p) = target(p) at every point p,
+    compared coordinate by coordinate; a value of None is zero.  The rows are
+    the (point, coordinate) pairs in the order first met, columns before the
+    target, and go to solve_exact as a dense matrix."""
+    points = list(points)
+    ncols = len(columns)
+    rows: dict = {}
+    for j, value in enumerate(columns + [target]):
+        for p in points:
+            v = value(p)
+            if v is None:
+                continue
+            for key, c in _coordinates(v):
+                rows.setdefault((p, key), [Q(0)] * (ncols + 1))[j] += c
+    return solve_exact([r[:ncols] for r in rows.values()], [r[ncols] for r in rows.values()])
 
 
 def degree0_basis(V: ConformalModule, bounds: AnsatzBounds, window: int = 3) -> list[ModElement]:
@@ -930,44 +931,15 @@ def coboundary_solve(P: ConformalAlgebra, V: ConformalModule, graded: Graded,
         images.append(img)
 
     target_keys = sorted(set(graded) | {key for img in images for key in img})
-    flat_imgs = []
-    for img in images:
-        comps = [img.get(key, zero_cochain(*canonical_bidegree(*key))) for key in target_keys]
-        flat_imgs.append(comps)
+    all_tuples = [(ci, t) for ci, key in enumerate(target_keys) for t in tuples(sum(key))]
 
-    all_tuples: list[tuple[int, tuple[GenIndex, ...]]] = []
-    for ci, key in enumerate(target_keys):
-        m, n = canonical_bidegree(*key)
-        for t in tuples(m + n):
-            all_tuples.append((ci, t))
+    def component(graded_value, point):
+        ci, t = point
+        coch = graded_value.get(target_keys[ci])
+        return None if coch is None else coch.value(t)
 
-    coords: dict = {}
-    matrix_rows: dict[int, list[Q]] = {}
-
-    def coord_index(key):
-        if key not in coords:
-            coords[key] = len(coords)
-            matrix_rows[coords[key]] = [Q(0)] * (len(candidates) + 1)
-        return coords[key]
-
-    for j, comps in enumerate(flat_imgs):
-        for ci, t in all_tuples:
-            for key, c in _coordinates(comps[ci].value(t)):
-                idx = coord_index((ci, t, key))
-                matrix_rows[idx][j] += c
-    for ci, t in all_tuples:
-        key_bid = target_keys[ci]
-        gam = graded.get(key_bid)
-        if gam is None:
-            continue
-        for key, c in _coordinates(gam.value(t)):
-            idx = coord_index((ci, t, key))
-            matrix_rows[idx][len(candidates)] += c
-
-    nrows = len(coords)
-    matrix = [matrix_rows[i][:len(candidates)] for i in range(nrows)]
-    rhs = [matrix_rows[i][len(candidates)] for i in range(nrows)]
-    sol = solve_exact(matrix, rhs)
+    sol = _solve_on(all_tuples, [partial(component, img) for img in images],
+                    partial(component, graded))
     if sol is None:
         return None
     out: Graded = {}

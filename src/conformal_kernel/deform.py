@@ -412,7 +412,7 @@ def linear_deformation_check(P: ConformalAlgebra, varpi: StructureRule,
     gen_pool = P.generators(window)
 
     def tuples_of(slots):
-        return list(itertools.product(gen_pool[:max(2, min(3, len(gen_pool)))], repeat=slots))
+        return list(itertools.product(gen_pool, repeat=slots))
 
     rep = is_cocycle(P, V, graded, tuples_of)
     rep.name = "fgv_two_cocycle"

@@ -197,3 +197,37 @@ class TestInconclusiveExit:
         assert status.pop("action_dtilde_bare_law") == "fail"
         assert set(status.values()) == {"inconclusive"}
         assert code == 1
+
+
+def check_lines(text):
+    return [line for line in text.splitlines() if line.startswith("[check]")]
+
+
+class TestCohomologyFamily:
+    def test_renamed_family_is_exercised(self, tmp_path, capsys):
+        # random cochains and tuples are drawn on the algebra's own family:
+        # renaming x to y changes no status or count, and the bare D-law
+        # still fails (criterion 5b) instead of passing on absent generators
+        path = os.path.join(DEMOS, "ex2_17.alg")
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+        renamed = tmp_path / "ex2_17_y.alg"
+        renamed.write_text(text.replace("family x ", "family y ").replace("x[", "y["))
+        argv = ["--d2-samples", "2", "--seed", "7"]
+        code_x = main(["cohomology", path, *argv])
+        want = check_lines(capsys.readouterr().out)
+        code_y = main(["cohomology", str(renamed), *argv])
+        got = check_lines(capsys.readouterr().out)
+        assert code_x == code_y == 1
+        assert len(got) == 17 and got == want
+        assert any("name=action_dtilde_bare_law status=fail" in line for line in got)
+
+
+class TestNijenhuisCoverage:
+    def test_fgv_cocycle_sweeps_whole_window(self, capsys):
+        code = main(["nijenhuis", os.path.join(DEMOS, "ex2_17.alg"), "--window", "3"])
+        checked = {line.split()[1][5:]: int(line.split()[3][8:])
+                   for line in check_lines(capsys.readouterr().out)}
+        assert code == 0
+        assert checked["cross_product_cocycle"] == 4 ** 3
+        assert checked["fgv_two_cocycle"] == 3 * checked["cross_product_cocycle"]

@@ -49,6 +49,15 @@ def test_report_bytes(name):
     assert run_cli(CASES[name]) == want
 
 
+def test_cohomology_refuses_multi_parameter_family():
+    # mat2's generators E[i,j] are not a 1-parameter family: the random
+    # cochains cannot be drawn on them, so the run stops before any check
+    got = run_cli(["cohomology", "demos/mat2.alg", "--d2-samples", "2", "--seed", "7"])
+    assert got.startswith("exit 3\n")
+    assert "[check]" not in got
+    assert "precondition failed" in got
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--regen"]:
         raise SystemExit("usage: test_report_bytes.py --regen")
