@@ -741,52 +741,50 @@ def check_action_module_laws(P: ConformalAlgebra, V: ConformalModule,
     fam = _sample_family(P)
     lam, mu = "·L", "·M"
 
-    @lru_cache(maxsize=1)
+    @lru_cache(maxsize=1)  # the tuples of one sample come in a row
     def sample(si):
         gamma = random_cochain(0, n, seed=seed * 7919 + si, family=fam)
         h = _hash_ints(seed, "act", si)
         x = ModElement.of(GenIndex(fam, (h[0] % 3,)))
         y = ModElement.of(GenIndex(fam, (h[1] % 3,)))
+        return (gamma, x, y, hochschild_module_action(P, V, x, gamma, lam),
+                hochschild_module_action(P, V, x.d_apply(1), gamma, lam),
+                hochschild_module_action(P, V, x, cochain_dtilde(gamma), lam))
 
-        act_x = hochschild_module_action(P, V, x, gamma, lam)
-        act_dx = hochschild_module_action(P, V, x.d_apply(1), gamma, lam)
-        act_x_dt = hochschild_module_action(P, V, x, cochain_dtilde(gamma), lam)
+    def residuals(si, *t):
+        gamma, x, y, act_x, act_dx, act_x_dt = sample(si)
+        base = act_x.value(t)
+        # sesquilinearity in the acting element
+        v1 = act_dx.value(t) + base.mul_var(lam)
 
-        def residuals(t):
-            base = act_x.value(t)
-            # sesquilinearity in the acting element
-            v1 = act_dx.value(t) + base.mul_var(lam)
+        # bare D-compatibility
+        lhs = act_x_dt.value(t)
+        rhs = multi_shifted_action(base, gamma.context, 1) + base.mul_var(lam)
+        v2 = lhs - rhs
 
-            # bare D-compatibility
-            lhs = act_x_dt.value(t)
-            rhs = multi_shifted_action(base, gamma.context, 1) + base.mul_var(lam)
-            v2 = lhs - rhs
+        # D-compatibility with the defect term lam * gamma(a_1,...,[x_lam a_n])
+        defect = _eval_pair_in_slot(
+            gamma, P.bracket, [const_lp(x)] + _gen_args(t), (lam,) + gamma.context + (None,),
+            [*range(1, n), (0, n)], gamma.context + (lam,)).mul_var(lam)
 
-            # D-compatibility with the defect term lam * gamma(a_1,...,[x_lam a_n])
-            defect = _eval_pair_in_slot(
-                gamma, P.bracket, [const_lp(x)] + _gen_args(t), (lam,) + gamma.context + (None,),
-                [*range(1, n), (0, n)], gamma.context + (lam,)).mul_var(lam)
-
-            # the bracket law
-            w = pair(P.bracket, const_lp(x), const_lp(y), lam)
-            lhs3 = hochschild_action_value(P, V, gamma, w, "·s", t)
-            lhs3 = lhs3.align((lam, mu) + gamma.context + ("·s",))
-            lhs3 = lhs3.subst_linear("·s", {lam: 1, mu: 1})
-            xy = hochschild_action_value(
-                P, V, hochschild_module_action(P, V, y, gamma, mu), const_lp(x), lam, t)
-            yx = hochschild_action_value(
-                P, V, hochschild_module_action(P, V, x, gamma, lam), const_lp(y), mu, t)
-            full = (lam, mu) + gamma.context
-            v3 = lhs3 - xy.align(full) + yx.align(full)
-            return v1, v3, v2, v2 - defect
-
-        return residuals
+        # the bracket law
+        w = pair(P.bracket, const_lp(x), const_lp(y), lam)
+        lhs3 = hochschild_action_value(P, V, gamma, w, "·s", t)
+        lhs3 = lhs3.align((lam, mu) + gamma.context + ("·s",))
+        lhs3 = lhs3.subst_linear("·s", {lam: 1, mu: 1})
+        xy = hochschild_action_value(
+            P, V, hochschild_module_action(P, V, y, gamma, mu), const_lp(x), lam, t)
+        yx = hochschild_action_value(
+            P, V, hochschild_module_action(P, V, x, gamma, lam), const_lp(y), mu, t)
+        full = (lam, mu) + gamma.context
+        v3 = lhs3 - xy.align(full) + yx.align(full)
+        return v1, v3, v2, v2 - defect
 
     reports = _run_tuple_checks(
         ["action_sesquilinearity", "action_bracket_law", "action_dtilde_bare_law",
          "action_dtilde_with_defect_term"],
         ((si,) + t for si in range(samples) for t in random_gen_tuples(n, 2, seed + si, fam)),
-        lambda si, *t: sample(si)(t))
+        residuals)
     reports[2].notes = ["bare D-compatibility law x(Dt g) = (Dt+lam)(x g); a nonzero "
                         "residual equals the structural defect lam*{a_1..[x_lam a_n]}_g "
                         "of the action rule"]

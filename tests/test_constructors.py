@@ -117,7 +117,9 @@ class TestGDPGD:
 
 def canonical_poisson():
     """Q[p, q] on monomials x[i, j] = p^i q^j with {p, q} = 1, the derivation
-    d/dp and the Novikov product a*b = a (d/dp b): a PGD algebra."""
+    d = d/dp + d/dq and the Novikov product a*b = a d(b): a PGD algebra whose
+    star is not associative on the window, (a*b)*c - a*(b*c) = -ab d(d(c))
+    being -2 at a = b = 1, c = pq."""
     def prod(g1, g2):
         (a, b), (c, d) = g1.params, g2.params
         return ModElement.of(gen("x", a + c, b + d))
@@ -127,16 +129,21 @@ def canonical_poisson():
         k = a * d - b * c
         return ModElement.of(gen("x", a + c - 1, b + d - 1)).scale(k) if k else ModElement.zero()
 
-    def star(g1, g2):
-        (a, b), (c, d) = g1.params, g2.params
-        return ModElement.of(gen("x", a + c - 1, b + d)).scale(c) if c else ModElement.zero()
-
-    def dp(g):
+    def d(g):
         a, b = g.params
-        return ModElement.of(gen("x", a - 1, b)).scale(a) if a else ModElement.zero()
+        out = ModElement.zero()
+        if a:
+            out = out + ModElement.of(gen("x", a - 1, b)).scale(a)
+        if b:
+            out = out + ModElement.of(gen("x", a, b - 1)).scale(b)
+        return out
+
+    def star(g1, g2):
+        return sum((prod(g1, g).scale(c.coeffs[0]) for g, c in d(g2).items()),
+                   ModElement.zero())
 
     return OrdinaryAlgebra("canonical", [GenFamily("x", 2, lo=0)], product=prod,
-                           bracket=br, star=star, derivation=LinearRule(dp))
+                           bracket=br, star=star, derivation=LinearRule(d))
 
 
 def ordinary_reports(ord_):
