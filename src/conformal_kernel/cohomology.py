@@ -852,11 +852,6 @@ def cochain_basis(m: int, n: int, families, bounds: AnsatzBounds) -> list[Cochai
     return out
 
 
-def _coordinates(value: LambdaPoly):
-    for exp, g, k, c in value.flat():
-        yield (exp, g, k), c
-
-
 def solve_linear_combination(images: list[Cochain], target: Cochain,
                              tuples: list[tuple[GenIndex, ...]]) -> list[Q] | None:
     """Exact coefficients c with sum c_i images_i = target on the tuples."""
@@ -870,9 +865,9 @@ def _value_at(coch: Cochain, tuples, i: int) -> LambdaPoly:
 
 def _solve_on(points: Iterable, columns: list[Callable], target: Callable) -> list[Q] | None:
     """Exact c with sum_j c_j columns[j](p) = target(p) at every point p,
-    compared coordinate by coordinate; a value of None is zero.  The rows are
-    the (point, coordinate) pairs in the order first met, columns before the
-    target, and go to solve_exact as a dense matrix."""
+    compared term by term; a value of None is zero.  The rows are the
+    (point, term) pairs in the order first met, columns before the target,
+    and go to solve_exact as a dense matrix."""
     points = list(points)
     ncols = len(columns)
     rows: dict = {}
@@ -881,8 +876,8 @@ def _solve_on(points: Iterable, columns: list[Callable], target: Callable) -> li
             v = value(p)
             if v is None:
                 continue
-            for key, c in _coordinates(v):
-                rows.setdefault((p, key), [Q(0)] * (ncols + 1))[j] += c
+            for exp, g, k, c in v.flat():
+                rows.setdefault((p, exp, g, k), [Q(0)] * (ncols + 1))[j] += c
     return solve_exact([r[:ncols] for r in rows.values()], [r[ncols] for r in rows.values()])
 
 
