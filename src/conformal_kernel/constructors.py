@@ -112,6 +112,7 @@ def _sweep(ord_: OrdinaryAlgebra, window: int, checks) -> list[CheckReport]:
 
 def check_ordinary_poisson(ord_: OrdinaryAlgebra, window: int, commutative: bool = True) -> list[CheckReport]:
     prod, br = _lift(ord_.product, "product"), _lift(ord_.bracket, "bracket")
+    # (ab)c - a(bc): the witnesses of ord_associativity carry this sign
     checks = [("ord_associativity", 3, lambda a, b, c: -_triple_assoc_residual(prod, a, b, c))]
     if commutative:
         checks.append(("ord_commutativity", 2, partial(_pair_comm_residual, prod, +1)))
