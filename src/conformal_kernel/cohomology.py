@@ -202,19 +202,20 @@ def _gen_args(gens: Sequence[GenIndex], ctx: tuple[str, ...] = ()) -> list[Lambd
 def _eval_pair_in_slot(gamma: Cochain, rule: StructureRule, items: Sequence[LambdaPoly],
                        ivars: Sequence[str | None], layout: Sequence,
                        ctx: tuple[str, ...]) -> LambdaPoly:
-    """gamma on `items` with the pair B = {u_·b w} of two of them in one
+    """gamma on `items` with the pair B = {u_v w} of two of them in one
     slot, in context ``ctx``.
 
     ``layout`` lists gamma's slots in order: an item index, or the pair
     (i, j) of the item indices that B pairs.  ``ivars[k]`` is the output
     variable of item k; the final item has none (None), so in a slot that
     carries a variable it stands for the dagger form -(sum of ivars) - D.
-    B's slot variable is ivars[i] + ivars[j] and its pair variable is
-    ivars[i].  Slot variables other than plain output variables are
-    placeholders, replaced after evaluation by one subst_many call.
+    B's slot variable is ivars[i] + ivars[j] and its pair variable v is
+    ivars[i] itself (no output variable occurs in the items' context).
+    Slot variables other than plain output variables are placeholders,
+    replaced after evaluation by one subst_many call.
     """
     (i, j), = [slot for slot in layout if isinstance(slot, tuple)]
-    B = pair(rule, items[i], items[j], "·b")
+    B = pair(rule, items[i], items[j], ivars[i])
     args = [B if slot == (i, j) else items[slot].align(B.context) for slot in layout]
     svars, subs = [], {}
     for p, slot in enumerate(layout[:-1]):  # the final slot carries no variable
@@ -226,7 +227,6 @@ def _eval_pair_in_slot(gamma: Cochain, rule: StructureRule, items: Sequence[Lamb
             svars.append(ivars[slot])
             continue
         svars.append(f"·q{p}")
-    subs["·b"] = ({ivars[i]: 1}, 0)
     v = eval_cochain(gamma, args, svars)
     return v.align(tuple(subs) + ctx).subst_many(subs)
 

@@ -1,9 +1,11 @@
 import itertools
+from collections import Counter
 from fractions import Fraction as Q
 from math import comb
 
 import pytest
 
+from conformal_kernel import algebra, deform
 from conformal_kernel.algebra import (
     ConformalAlgebra,
     GenFamily,
@@ -11,6 +13,7 @@ from conformal_kernel.algebra import (
     PreconditionFailed,
     RULE_VAR,
     StructureRule,
+    _triple_assoc_residual,
     check_poisson,
     eval_op,
     suite_fails,
@@ -97,6 +100,48 @@ class TestNDeformation:
         rep = check_n_deformation(ds, window=2)
         assert rep.status == "fail"
         assert rep.witnesses
+
+
+class TestHbarCrossCheck:
+    """The series-index path sweeps the base window's generators at every
+    power 0..N, and only triples whose powers sum to at most N."""
+
+    @pytest.mark.parametrize("window, count", [(1, 80), (2, 270), (3, 640)])
+    def test_swept_triples(self, monkeypatch, window, count):
+        swept = []
+
+        def counting(prod, a, b, c):
+            swept.append([next(iter(e.terms)).params[-1] for e in (a, b, c)])
+            return _triple_assoc_residual(prod, a, b, c)
+
+        # count every associativity residual the call evaluates, from
+        # whichever module's sweep it comes
+        monkeypatch.setattr(deform, "_triple_assoc_residual", counting, raising=False)
+        monkeypatch.setattr(algebra, "_triple_assoc_residual", counting)
+        ds = order2_series()
+        assert check_n_deformation(ds, window).status == "pass"
+        assert len(swept) == count
+        assert max(map(sum, swept)) == ds.order
+        # the top power is swept even when the window is below N
+        assert max(map(max, swept)) == ds.order
+
+    def test_pruned_triples_have_zero_residual(self):
+        ds = order2_series()
+        x1 = xg(1)
+        bad_mu1 = ds.mu(1).override((x1, x1), ds.mu(1).entry(x1, x1).scale(2))
+        bad = DeformationSeries(ds.alg, [bad_mu1, ds.mu(2)])
+        prod = bad.hbar_algebra().product
+        lifted = [(k, ModElement.of(deform._hbar_gen(g, k)))
+                  for g in bad.alg.generators(3) for k in range(bad.order + 1)]
+        nonzero = Counter(sum(k for k, _ in t) for t in itertools.product(lifted, repeat=3)
+                          if not _triple_assoc_residual(prod, *(e for _, e in t)).is_zero())
+        # the perturbation shows at power sums 0 and 1, never past N = 2
+        assert nonzero == {0: 9, 1: 21}
+        rep = check_n_deformation(bad, window=3)
+        assert rep.status == "fail"
+        assert "cross-check: fail" in rep.notes[0]
+        assert "DISAGREES" not in rep.notes[0]
+        assert check_n_deformation(ds, window=3).status == "pass"
 
 
 class TestInfinitesimal:
