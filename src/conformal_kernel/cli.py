@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .algebra import PreconditionFailed, check_poisson, check_suite
+from .algebra import PreconditionFailed, check_poisson, check_suite, sweep_status
 from .cohomology import AnsatzBounds, check_action_module_laws, check_complex_identities
 from .coeff import (
     ModeWindow,
@@ -23,7 +23,6 @@ from .coeff import (
 from .constructors import adjoint_module
 from .deform import (
     check_n_deformation,
-    extend_deformation,
     infinitesimal_is_cocycle,
     linear_deformation_check,
     nijenhuis_check,
@@ -31,6 +30,7 @@ from .deform import (
     nijenhuis_homomorphism_check,
     obstruction_is_cocycle,
     semiclassical_limit,
+    solve_extension,
     trivial_deformation_check,
 )
 from .manifest import ManifestError, parse_file
@@ -103,9 +103,12 @@ def run(command: str, man, args) -> list:
             trunc = ds.truncate(ds.order - 1)
             rep = obstruction_is_cocycle(trunc, max(2, window - 1))
             bounds = AnsatzBounds(args.ansatz_ddeg, args.ansatz_ldeg)
-            ext = extend_deformation(trunc, bounds, window)
+            ext, escaped = solve_extension(trunc, bounds, window)
             rep.notes.append("extension recovered within ansatz bounds"
                              if ext is not None else "no extension within ansatz bounds")
+            if escaped:
+                rep.notes.append(f"extension solve: {escaped} tuples escaped the rule window")
+                rep.status = sweep_status(rep.witnesses, escaped)
             rep.name = "obstruction_and_extension"
             reports.append(rep)
         return reports

@@ -557,12 +557,16 @@ def random_cochain(m: int, n: int, seed: int, family: str = "x",
     return Cochain(m, n, raw)
 
 
-def _sample_family(P: ConformalAlgebra) -> str:
+def _sample_family(P: ConformalAlgebra, V: ConformalModule) -> str:
     """The algebra's generator family for random_cochain and
-    random_gen_tuples, which draw parameters from 0 up."""
+    random_gen_tuples, which draw parameters from 0 up.  The cochains take
+    their values on it too, so V must be declared on the same families."""
     fams = P.families
     if len(fams) != 1 or fams[0].arity != 1 or fams[0].lo != 0:
         raise PreconditionFailed("random cochains need a single 1-parameter family with min 0")
+    if list(V.families) != list(fams):
+        raise PreconditionFailed("random cochains take values on the algebra's family, "
+                                 "and the module is declared on other families")
     return fams[0].name
 
 
@@ -656,8 +660,9 @@ def check_complex_identities(P: ConformalAlgebra, V: ConformalModule,
     order, so the reports do not depend on the number of cores.  A tuple
     whose evaluation escapes a rule window counts as escaped.  Raises
     PreconditionFailed unless the algebra is one 1-parameter family with
-    min 0, the generators random cochains are drawn on."""
-    fam = _sample_family(P)
+    min 0, the generators random cochains are drawn on, and V is declared
+    on that family too: the cochains take their values there."""
+    fam = _sample_family(P, V)
     bidegs = fgv_bidegrees(max_degree)
 
     def l_max(m, n):
@@ -736,9 +741,10 @@ def check_action_module_laws(P: ConformalAlgebra, V: ConformalModule,
 
     A tuple on which any law escapes a rule window counts as escaped for
     all four laws.  Raises PreconditionFailed unless the algebra is one
-    1-parameter family with min 0 (see random_cochain).
+    1-parameter family with min 0 and V is declared on it (see
+    check_complex_identities).
     """
-    fam = _sample_family(P)
+    fam = _sample_family(P, V)
     lam, mu = "·L", "·M"
 
     @lru_cache(maxsize=1)  # the tuples of one sample come in a row
@@ -810,15 +816,16 @@ def cochain_basis(m: int, n: int, families, bounds: AnsatzBounds) -> list[Cochai
 
         (prod p_i^{d_i}) * (slot-var monomial) * D^beta * x[sum p_i - shift]
 
-    with the bracket-type slots antisymmetrized when m >= 2.  Distinct
-    monomial supports keep the elements linearly independent.
+    and zero where x[sum p_i - shift] is outside the family, with the
+    bracket-type slots antisymmetrized when m >= 2.  Distinct monomial
+    supports keep the elements linearly independent.
     """
     if bounds is None:
         raise UnboundedAnsatz("coboundary solving needs finite ansatz bounds")
     fams = [f for f in families if f.arity == 1]
     if len(fams) != 1 or len(families) != 1:
         raise UnboundedAnsatz("ansatz basis implemented for single 1-parameter families")
-    fam = fams[0].name
+    fam = fams[0]
     s = m + n
     nvars = s - 1
     max_shift = bounds.max_shift if bounds.max_shift is not None else bounds.d_deg + bounds.l_deg
@@ -837,14 +844,15 @@ def cochain_basis(m: int, n: int, families, bounds: AnsatzBounds) -> list[Cochai
                         ps = [g.params[0] for g in gens]
                         tgt = sum(ps) - shift
                         ctx = canon_vars(nvars)
-                        if tgt < 0:
+                        if not fam.contains((tgt,)):
                             return LambdaPoly.zero(ctx)
                         coeff = 1
                         for p, d in zip(ps, pe):
                             coeff *= p ** d
                         if coeff == 0:
                             return LambdaPoly.zero(ctx)
-                        me = ModElement.of(GenIndex(fam, (tgt,)), DPoly.d_power(beta, coeff))
+                        me = ModElement.of(GenIndex(fam.name, (tgt,)),
+                                           DPoly.d_power(beta, coeff))
                         return LambdaPoly.of(ctx, me, ve)
 
                     coch = Cochain(m, n, symmetrize(raw, m, n)) if m >= 2 else Cochain(m, n, raw)
@@ -852,33 +860,85 @@ def cochain_basis(m: int, n: int, families, bounds: AnsatzBounds) -> list[Cochai
     return out
 
 
-def solve_linear_combination(images: list[Cochain], target: Cochain,
-                             tuples: list[tuple[GenIndex, ...]]) -> list[Q] | None:
-    """Exact coefficients c with sum c_i images_i = target on the tuples."""
-    return _solve_on(range(len(tuples)), [partial(_value_at, img, tuples) for img in images],
-                     partial(_value_at, target, tuples))
+def _ansatz_columns(diff: Callable[[Cochain], Cochain], basis: Sequence[Cochain],
+                    t: tuple[GenIndex, ...]) -> list[LambdaPoly]:
+    """diff(z).value(t) for every z in `basis` (one bidegree), by linearity.
+
+    On a fixed tuple the differentials read their argument gamma only
+    through gamma.value(s), at sites s that t and the rules fix, and their
+    value is Q-linear in those values.  One evaluation on a zero cochain
+    records the sites.  The differential then runs once per distinct (site,
+    term) among the basis values there, on an impulse cochain holding that
+    term at that site and zero elsewhere, and each column sums its
+    coefficients times those images.  An impulse read at a site the
+    recording did not see raises, so a differential that is not linear in
+    this sense fails loudly; a WindowEscape propagates.
+    """
+    m, n, extra, ctx = basis[0].m, basis[0].n, basis[0].extra, basis[0].context
+    zero = LambdaPoly.zero(ctx)
+    sites: dict[tuple[GenIndex, ...], None] = {}
+
+    def record(s):
+        sites[s] = None
+        return zero
+
+    out_ctx = diff(Cochain(m, n, record, extra)).value(t).context
+
+    def impulse(site, exp, g, k):
+        val = LambdaPoly(ctx, {exp: {(g, k): 1}})
+
+        def value(s):
+            if s not in sites:
+                raise RuntimeError(f"differential read its argument at {s}, "
+                                   f"outside the sites recorded on {t}")
+            return val if s == site else zero
+        return Cochain(m, n, value, extra)
+
+    images: dict[tuple, LambdaPoly] = {}
+    columns = []
+    for z in basis:
+        acc = Accumulator(out_ctx)
+        for s in sites:
+            for exp, g, k, c in z.value(s).flat():
+                img = images.get((s, exp, g, k))
+                if img is None:
+                    img = images[s, exp, g, k] = diff(impulse(s, exp, g, k)).value(t)
+                acc.add(img, c)
+        columns.append(acc.build())
+    return columns
 
 
-def _value_at(coch: Cochain, tuples, i: int) -> LambdaPoly:
-    return coch.value(tuples[i])
-
-
-def _solve_on(points: Iterable, columns: list[Callable], target: Callable) -> list[Q] | None:
-    """Exact c with sum_j c_j columns[j](p) = target(p) at every point p,
-    compared term by term; a value of None is zero.  The rows are the
-    (point, term) pairs in the order first met, columns before the target,
-    and go to solve_exact as a dense matrix."""
-    points = list(points)
-    ncols = len(columns)
+def _solve_on(table: Sequence[tuple], ncols: int) -> list[Q] | None:
+    """Exact c with sum_j c_j columns[j] = target at every point, for
+    `table` the (point, columns, target) values, compared term by term; a
+    value of None is zero.  The rows are the (point, term) pairs in the
+    order first met, columns before the target and each value's terms in
+    sorted order, so the system depends on the values alone, not on how
+    they were computed; it goes to solve_exact as a dense matrix."""
     rows: dict = {}
-    for j, value in enumerate(columns + [target]):
-        for p in points:
-            v = value(p)
+    for j in range(ncols + 1):
+        for p, columns, target in table:
+            v = target if j == ncols else columns[j]
             if v is None:
                 continue
-            for exp, g, k, c in v.flat():
-                rows.setdefault((p, exp, g, k), [Q(0)] * (ncols + 1))[j] += c
+            for exp, g, k, c in sorted(v.flat()):
+                rows.setdefault((p, exp, g, k), [0] * (ncols + 1))[j] += c
     return solve_exact([r[:ncols] for r in rows.values()], [r[ncols] for r in rows.values()])
+
+
+def solve_ansatz(diff: Callable[[Cochain], Cochain], basis: Sequence[Cochain],
+                 target: Cochain, tuples: Iterable[tuple[GenIndex, ...]]
+                 ) -> tuple[list[Q] | None, int]:
+    """Exact c with sum_i c_i diff(basis_i) = target on the tuples, and the
+    number of tuples left out because a column or the target escapes a rule
+    window there."""
+    table, escaped = [], 0
+    for t in tuples:
+        try:
+            table.append((t, _ansatz_columns(diff, basis, t), target.value(t)))
+        except WindowEscape:
+            escaped += 1
+    return _solve_on(table, len(basis)), escaped
 
 
 def degree0_basis(V: ConformalModule, bounds: AnsatzBounds, window: int = 3) -> list[ModElement]:
@@ -901,38 +961,36 @@ def coboundary_solve(P: ConformalAlgebra, V: ConformalModule, graded: Graded,
         raise ValueError("graded cochain must be homogeneous")
     k = degree.pop()
     if k == 1:
-        target = graded.get((1, 0)) or graded.get((0, 1))
+        target = (graded.get((1, 0)) or graded.get((0, 1))).retag(1, 0)
         basis0 = degree0_basis(V, bounds)
         images0 = [d_ce_degree0(V, v) for v in basis0]
-        sol = solve_linear_combination(images0, target.retag(1, 0), tuples(1))
+        sol = _solve_on([(t, [img.value(t) for img in images0], target.value(t))
+                         for t in tuples(1)], len(basis0))
         if sol is None:
             return None
         out_v = ModElement.zero()
         for c, v in zip(sol, basis0):
             out_v = out_v + v.scale(c)
         return {(0, 0): out_v}
-    candidates: list[tuple[tuple[int, int], Cochain]] = []
-    for (m, n) in fgv_bidegrees(k - 1):
-        if m + n != k - 1:
-            continue
-        for coch in cochain_basis(m, n, P.families, bounds):
-            candidates.append(((m, n), coch))
+    # candidate bidegree -> its basis, and the image components d_total gives it
+    bases = {key: cochain_basis(*key, P.families, bounds)
+             for key in fgv_bidegrees(k - 1) if sum(key) == k - 1}
+    reach = {key: sorted(d_total(P, V, {key: basis[0]})) for key, basis in bases.items()}
+    target_keys = sorted(set(graded).union(*reach.values()))
 
-    images = []
-    for key, coch in candidates:
-        img = d_total(P, V, {key: coch})
-        images.append(img)
+    def columns(tk, t):
+        out = []
+        for key, basis in bases.items():
+            if tk in reach[key]:
+                out += _ansatz_columns(lambda g, key=key: d_total(P, V, {key: g})[tk], basis, t)
+            else:
+                out += [None] * len(basis)
+        return out
 
-    target_keys = sorted(set(graded) | {key for img in images for key in img})
-    all_tuples = [(ci, t) for ci, key in enumerate(target_keys) for t in tuples(sum(key))]
-
-    def component(graded_value, point):
-        ci, t = point
-        coch = graded_value.get(target_keys[ci])
-        return None if coch is None else coch.value(t)
-
-    sol = _solve_on(all_tuples, [partial(component, img) for img in images],
-                    partial(component, graded))
+    candidates = [(key, coch) for key, basis in bases.items() for coch in basis]
+    sol = _solve_on([((ci, t), columns(tk, t), graded[tk].value(t) if tk in graded else None)
+                     for ci, tk in enumerate(target_keys) for t in tuples(sum(tk))],
+                    len(candidates))
     if sol is None:
         return None
     out: Graded = {}
@@ -940,7 +998,4 @@ def coboundary_solve(P: ConformalAlgebra, V: ConformalModule, graded: Graded,
         if c == 0:
             continue
         out[key] = out[key] + coch.scale(c) if key in out else coch.scale(c)
-    if not out:
-        out = {key: zero_cochain(m, n) for key, (m, n) in
-               [((m, n), (m, n)) for (m, n) in fgv_bidegrees(k - 1) if m + n == k - 1][:1]}
-    return out
+    return out or {key: zero_cochain(*key) for key in list(bases)[:1]}

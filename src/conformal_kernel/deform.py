@@ -52,7 +52,7 @@ from .cohomology import (
     cochain_basis,
     d_h,
     is_cocycle,
-    solve_linear_combination,
+    solve_ansatz,
     zero_cochain,
 )
 from .constructors import ConformalModule
@@ -267,17 +267,25 @@ def obstruction_is_cocycle(ds: DeformationSeries, window: int = 2) -> CheckRepor
 def extend_deformation(ds: DeformationSeries, bounds: AnsatzBounds,
                        window: int = 3) -> DeformationSeries | None:
     """Solve d_H mu_{n+1} = theta_n in the bounded ansatz; on success the
-    extension is re-verified through check_n_deformation."""
+    extension is re-verified through check_n_deformation.  Tuples that
+    escape a rule window are left out; solve_extension counts them."""
+    return solve_extension(ds, bounds, window)[0]
+
+
+def solve_extension(ds: DeformationSeries, bounds: AnsatzBounds,
+                    window: int = 3) -> tuple[DeformationSeries | None, int]:
+    """extend_deformation's result and the number of window triples left
+    out of the solve because d_H of some ansatz element or theta_n escapes
+    a rule window there."""
     if bounds is None:
         raise UnboundedAnsatz("extension solving needs ansatz bounds")
     theta = obstruction(ds)
     V = regular_bimodule(ds.alg)
     basis = cochain_basis(0, 2, ds.alg.families, bounds)
-    images = [d_h(ds.alg, V, z) for z in basis]
-    tuples = [t for t in itertools.product(ds.alg.generators(window), repeat=3)]
-    sol = solve_linear_combination(images, theta, tuples)
+    tuples = itertools.product(ds.alg.generators(window), repeat=3)
+    sol, escaped = solve_ansatz(lambda z: d_h(ds.alg, V, z), basis, theta, tuples)
     if sol is None:
-        return None
+        return None, escaped
     mu_next_cochain = None
     for c, z in zip(sol, basis):
         if c == 0:
@@ -293,8 +301,8 @@ def extend_deformation(ds: DeformationSeries, bounds: AnsatzBounds,
     extended = ds.extend_with(StructureRule("product", rule_fn))
     rep = check_n_deformation(extended, window, cross_check=False)
     if rep.status == FAIL:
-        return None
-    return extended
+        return None, escaped
+    return extended, escaped
 
 
 def semiclassical_limit(ds: DeformationSeries, window: int = 3

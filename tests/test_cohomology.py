@@ -5,10 +5,21 @@ import threading
 
 import pytest
 
-from conformal_kernel.algebra import GenFamily, LinearRule, eval_op, pair, const_lp
+from conformal_kernel import cohomology
+from conformal_kernel.algebra import (
+    ConformalAlgebra,
+    GenFamily,
+    LinearRule,
+    PreconditionFailed,
+    WindowEscape,
+    eval_op,
+    pair,
+    const_lp,
+)
 from conformal_kernel.cohomology import (
     AnsatzBounds,
     Cochain,
+    _ansatz_columns,
     bilinear_cochain,
     canon_vars,
     check_action_module_laws,
@@ -29,11 +40,13 @@ from conformal_kernel.cohomology import (
     zero_cochain,
 )
 from conformal_kernel.constructors import (
+    ConformalModule,
     OrdinaryAlgebra,
     adjoint_module,
     from_derivation,
     ord_table,
 )
+from conformal_kernel.deform import obstruction, regular_bimodule
 from conformal_kernel.manifest import parse_file
 from conformal_kernel.report import render_reports
 from conformal_kernel.symcore import DPoly, GenIndex, LambdaPoly, ModElement, Q, gen
@@ -131,6 +144,17 @@ class TestComplexIdentities:
         diffs = [lhs.value(t) - rhs.value(t) for t in tuples_for(4, 6, seed=11)]
         assert any(not d.is_zero() for d in diffs)
 
+    def test_module_on_its_own_family_is_refused(self, setup):
+        # the random cochains take values on the algebra's family x, so a
+        # module declared on a family t would be swept with values it does
+        # not have
+        P, V = setup
+        onT = ConformalModule("onT", [GenFamily("t", 1, lo=0)], left=V.left, right=V.right,
+                              lie=V.lie, kind=V.kind)
+        with pytest.raises(PreconditionFailed):
+            check_complex_identities(P, onT, samples=1, max_degree=2)
+        with pytest.raises(PreconditionFailed):
+            check_action_module_laws(P, onT, samples=1)
 
     @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                         reason="the pooled path needs the fork start method")
@@ -307,3 +331,105 @@ class TestDegreeZeroSolve:
         sol = coboundary_solve(P, V, {(1, 0): gamma}, AnsatzBounds(d_deg=2, l_deg=0),
                                lambda s: tuples_for(s, 6, seed=47))
         assert sol is None
+
+
+def ex2_17(doubled=False):
+    """ex2_17.alg, or a copy with the product entry x[1] x[1] doubled."""
+    P = parse_file(os.path.join(DEMOS, "ex2_17.alg")).algebra()
+    if doubled:
+        x1 = xg(1)
+        prod = P.product.override((x1, x1), P.product.entry(x1, x1).scale(2))
+        P = ConformalAlgebra(P.name, list(P.families), product=prod, bracket=P.bracket,
+                             kind=P.kind)
+    return P
+
+
+class TestAnsatzColumns:
+    """The ansatz columns, built by linearity from one differential
+    evaluation per (site, term), equal the direct images."""
+
+    @pytest.mark.parametrize("window, doubled", [(1, False), (2, False), (2, True)])
+    def test_d_h_columns_equal_direct_images(self, window, doubled):
+        P = ex2_17(doubled)
+        V = regular_bimodule(P)
+        basis = cochain_basis(0, 2, P.families, AnsatzBounds(2, 2))
+        images = [d_h(P, V, z) for z in basis]
+        for t in itertools.product(P.generators(window), repeat=3):
+            cols = _ansatz_columns(lambda z: d_h(P, V, z), basis, t)
+            assert cols == [img.value(t) for img in images]
+
+    @pytest.mark.parametrize("key", [(2, 0), (0, 2)])
+    def test_d_total_columns_equal_direct_images(self, setup, key):
+        P, V = setup
+        basis = cochain_basis(*key, P.families, AnsatzBounds(1, 1, 1))
+        images = [d_total(P, V, {key: z}) for z in basis]
+        assert len(images[0]) == 2
+        for tk in images[0]:
+            for t in tuples_for(3, 3, seed=53):
+                cols = _ansatz_columns(lambda z: d_total(P, V, {key: z})[tk], basis, t)
+                assert cols == [img[tk].value(t) for img in images]
+
+    def test_system_is_built_from_the_images(self, monkeypatch):
+        # the system solve_exact receives is the one the direct images give:
+        # rows in the order first met, column by column, each value's terms
+        # sorted, the target last
+        seen = []
+        solve = cohomology.solve_exact
+        monkeypatch.setattr(cohomology, "solve_exact",
+                            lambda rows, rhs: seen.append((rows, rhs)) or solve(rows, rhs))
+        ds = parse_file(os.path.join(DEMOS, "ex2_17.alg")).deformation().truncate(1)
+        P, V = ds.alg, regular_bimodule(ds.alg)
+        basis = cochain_basis(0, 2, P.families, AnsatzBounds(2, 2))
+        tuples = list(itertools.product(P.generators(1), repeat=3))
+        sol, escaped = cohomology.solve_ansatz(lambda z: d_h(P, V, z), basis, obstruction(ds),
+                                               tuples)
+        assert sol is not None and escaped == 0
+
+        values = [d_h(P, V, z) for z in basis] + [obstruction(ds)]
+        rows: dict = {}
+        for j, coch in enumerate(values):
+            for t in tuples:
+                for exp, g, k, c in sorted(coch.value(t).flat()):
+                    rows.setdefault((t, exp, g, k), [0] * len(values))[j] += c
+        assert seen == [([r[:-1] for r in rows.values()], [r[-1] for r in rows.values()])]
+
+    def test_value_dependent_site_raises(self):
+        # a "differential" that reads its argument again at a site named by
+        # the value it read first: the impulse sees an unrecorded site
+        ctx = canon_vars(1)
+
+        def odd(gamma):
+            def value(t):
+                v = gamma.value(t)
+                for _exp, g, _k, _c in v.flat():
+                    v = v + gamma.value((g, g))
+                return v
+            return Cochain(0, 2, value)
+
+        basis = cochain_basis(0, 2, [GenFamily("x", 1, lo=0)], AnsatzBounds(0, 0, 0))
+        assert odd(basis[0]).value((xg(1), xg(2))) == LambdaPoly.of(
+            ctx, ModElement.of(xg(3))) + LambdaPoly.of(ctx, ModElement.of(xg(6)))
+        with pytest.raises(RuntimeError, match="outside the sites recorded"):
+            _ansatz_columns(odd, basis, (xg(1), xg(2)))
+
+    def test_escape_propagates_per_tuple(self, tmp_path):
+        # on a family capped at max 3 a column can escape while the target
+        # does not; solve_ansatz leaves such tuples out and counts them
+        with open(os.path.join(DEMOS, "ex2_17.alg"), encoding="utf-8") as fh:
+            text = fh.read()
+        path = tmp_path / "ex2_17_capped.alg"
+        path.write_text(text.replace("family x arity 1 min 0\n",
+                                     "family x arity 1 min 0 max 3\n"))
+        ds = parse_file(str(path)).deformation().truncate(1)
+        P, V = ds.alg, regular_bimodule(ds.alg)
+        basis = cochain_basis(0, 2, P.families, AnsatzBounds(2, 2))
+        # every basis value stays inside the family
+        for z in basis:
+            for t in itertools.product(P.generators(3), repeat=2):
+                assert all(P.families[0].contains(g.params) for _e, g, _k, _c in z.value(t).flat())
+        with pytest.raises(WindowEscape):
+            _ansatz_columns(lambda z: d_h(P, V, z), basis, (xg(0), xg(1), xg(3)))
+        tuples = list(itertools.product(P.generators(2), repeat=3))
+        sol, escaped = cohomology.solve_ansatz(lambda z: d_h(P, V, z), basis, obstruction(ds),
+                                               tuples)
+        assert (sol is not None, escaped) == (True, 10)

@@ -1,11 +1,12 @@
 import itertools
+import os
 from collections import Counter
 from fractions import Fraction as Q
 from math import comb
 
 import pytest
 
-from conformal_kernel import algebra, deform
+from conformal_kernel import algebra, cohomology, deform
 from conformal_kernel.algebra import (
     ConformalAlgebra,
     GenFamily,
@@ -19,7 +20,7 @@ from conformal_kernel.algebra import (
     suite_fails,
     suite_passes,
 )
-from conformal_kernel.cohomology import AnsatzBounds
+from conformal_kernel.cohomology import AnsatzBounds, Cochain
 from conformal_kernel.constructors import (
     OrdinaryAlgebra,
     current_algebra,
@@ -41,7 +42,11 @@ from conformal_kernel.deform import (
     semiclassical_limit,
     trivial_deformation_check,
 )
+from conformal_kernel.manifest import parse_file
 from conformal_kernel.symcore import DPoly, GenIndex, LambdaPoly, ModElement, gen
+
+
+DEMOS = os.path.join(os.path.dirname(__file__), "..", "demos")
 
 
 def xg(m):
@@ -242,6 +247,22 @@ class TestExtension:
         ext = extend_deformation(ds, AnsatzBounds(1, 1, 1), window=2)
         assert ext is not None
         assert ext.mu(2).entry(xg(1), xg(1)).is_zero()
+
+    def test_differential_evaluations(self, monkeypatch):
+        # the ansatz columns cost one d_h evaluation per window triple to
+        # record the sites and one per distinct (site, term) of the basis
+        # values there: 8 + 405, against 270 * 8 = 2160 for one per
+        # (basis element, triple)
+        evaluated = []
+
+        def counting(P, V, gamma):
+            img = cohomology.d_h(P, V, gamma)
+            return Cochain(img.m, img.n, lambda t: evaluated.append(t) or img.value(t))
+
+        monkeypatch.setattr(deform, "d_h", counting)
+        ds = parse_file(os.path.join(DEMOS, "ex2_17.alg")).deformation().truncate(1)
+        assert extend_deformation(ds, AnsatzBounds(2, 2), window=1) is not None
+        assert len(evaluated) == 413
 
     def test_bounds_too_small(self):
         ds1 = order2_series().truncate(1)

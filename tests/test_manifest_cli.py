@@ -198,6 +198,24 @@ class TestInconclusiveExit:
         assert set(status.values()) == {"inconclusive"}
         assert code == 1
 
+    @pytest.mark.parametrize("window, escaped", [(2, 10), (3, 44)])
+    def test_deform_extension_escapes_are_counted_not_raised(self, tmp_path, capsys,
+                                                             window, escaped):
+        # on ex2_17 capped at x[3], products past the cap escape inside d_h
+        # of the ansatz elements; those triples are left out of the solve
+        # and counted, and the run is inconclusive
+        with open(os.path.join(DEMOS, "ex2_17.alg"), encoding="utf-8") as fh:
+            text = fh.read()
+        path = tmp_path / "ex2_17_capped.alg"
+        path.write_text(text.replace("family x arity 1 min 0\n",
+                                     "family x arity 1 min 0 max 3\n"))
+        code = main(["deform", str(path), "--window", str(window)])
+        out = capsys.readouterr().out
+        line, = [ln for ln in out.splitlines() if "name=obstruction_and_extension" in ln]
+        assert "status=inconclusive" in line
+        assert f'note="extension solve: {escaped} tuples escaped the rule window"' in line
+        assert code == 2
+
 
 def check_lines(text):
     return [line for line in text.splitlines() if line.startswith("[check]")]

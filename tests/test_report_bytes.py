@@ -25,6 +25,9 @@ CASES = {
     "coeff_ex2_17": ["coeff", "demos/ex2_17.alg", "--modes=-3..3", "--window", "4"],
     "cohomology_ex2_17": ["cohomology", "demos/ex2_17.alg", "--d2-samples", "2", "--seed", "7"],
     "deform_ex2_17_w2": ["deform", "demos/ex2_17.alg", "--window", "2"],
+    # an inconsistent ansatz system: "no extension within ansatz bounds"
+    "deform_ex2_17_noext_w2": ["deform", "demos/ex2_17.alg", "--window", "2",
+                               "--ansatz-ddeg", "0", "--ansatz-ldeg", "0"],
     # the series-index cross-check sweeps the family's own generators x[1..]
     "deform_ex2_17_min1_w2": ["deform", "tests/manifests/ex2_17_min1.alg", "--window", "2"],
     "nijenhuis_ex2_17_w2": ["nijenhuis", "demos/ex2_17.alg", "--window", "2"],
