@@ -97,7 +97,7 @@ def oracle_mode_bracket(alg, g1, m, g2, n):
     out = {}
     from math import factorial
 
-    for (j,), me in value.terms.items():
+    for (j,), me in value.items():
         nth = me.scale(factorial(j))
         binom = Q(1)
         for t in range(j):
@@ -105,7 +105,7 @@ def oracle_mode_bracket(alg, g1, m, g2, n):
         if binom == 0:
             continue
         mode = m + n - j
-        for g, p in nth.terms.items():
+        for g, p in nth.items():
             for k, c in p:
                 fall = Q(1)
                 for t in range(k):

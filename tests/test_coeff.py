@@ -46,7 +46,7 @@ def oracle_bracket(alg, g1, m, g2, n):
     against n-th products read off the lambda-value, then the D-rewrite."""
     value = eval_op(alg.bracket, ModElement.of(g1), ModElement.of(g2), "L")
     out = {}
-    for (j,), me in value.terms.items():
+    for (j,), me in value.items():
         nth = me.scale(factorial(j))  # a_[j] b
         binom = Q(1)
         for t in range(j):
@@ -54,7 +54,7 @@ def oracle_bracket(alg, g1, m, g2, n):
         if binom == 0:
             continue
         mode = m + n - j
-        for g, p in nth.terms.items():
+        for g, p in nth.items():
             for k, c in p:
                 fall = Q(1)
                 for t in range(k):

@@ -96,9 +96,9 @@ class TestDifferentialBasics:
         t2 = t2.align(("c1", "w")).subst_linear("w", {"c1": -1}, d_coeff=-1)
         br = eval_op(P.bracket, a, b, "c1")
         t3 = LambdaPoly.zero(("c1",))
-        for (e,), me in br.terms.items():
+        for (e,), me in br.items():
             acc = ModElement.zero()
-            for g, p in me.terms.items():
+            for g, p in me.items():
                 acc = acc + ModElement.of(xg(g.params[0]), DPoly.d_power(1)).dmul(p)
             t3 = t3 + LambdaPoly.of(("c1",), acc, (e,))
         assert dphi.value((xg(2), xg(1))) == t1 - t2 - t3

@@ -306,7 +306,7 @@ class TestDirectSum:
         assert fails
         for r in fails:
             for t, _ in r.witnesses:
-                assert all(e.terms and all(g.family.startswith("2.") for g in e.terms)
+                assert all(e.items() and all(g.family.startswith("2.") for g, _ in e.items())
                            for e in t)
 
 

@@ -116,7 +116,7 @@ class TestHbarCrossCheck:
         swept = []
 
         def counting(prod, a, b, c):
-            swept.append([next(iter(e.terms)).params[-1] for e in (a, b, c)])
+            swept.append([e.items()[0][0].params[-1] for e in (a, b, c)])
             return _triple_assoc_residual(prod, a, b, c)
 
         # count every associativity residual the call evaluates, from

@@ -3,9 +3,9 @@ from fractions import Fraction as Q
 
 import pytest
 
+from conformal_kernel.algebra import RULE_VAR, LinearRule, StructureRule, pair
 from conformal_kernel.symcore import (
     DPoly,
-    DP_ONE,
     GenIndex,
     LambdaPoly,
     ModElement,
@@ -227,21 +227,35 @@ def rand_subst_input(rng, ctx, subst, max_exp=4):
     return out
 
 
+def _rat(sympy, c):
+    c = Q(c)
+    return sympy.Rational(c.numerator, c.denominator)
+
+
 def to_sympy(sympy, p):
-    """Independent reading of a LambdaPoly through its public ``terms`` view:
+    """Independent reading of a LambdaPoly through its public ``flat`` view:
     D and the generators become commuting symbols."""
     D = sympy.Symbol("D")
     expr = sympy.Integer(0)
-    for exp, me in p.terms.items():
+    for exp, g, k, c in p.flat():
         mono = sympy.Integer(1)
-        for v, k in zip(p.context, exp):
-            mono *= sympy.Symbol(v) ** k
-        for g, dp in me.terms.items():
-            for k, c in dp:
-                c = Q(c)
-                expr += sympy.Rational(c.numerator, c.denominator) * mono * D ** k \
-                    * sympy.Symbol(repr(g))
+        for v, e in zip(p.context, exp):
+            mono *= sympy.Symbol(v) ** e
+        expr += _rat(sympy, c) * mono * D ** k * sympy.Symbol(repr(g))
     return sympy.expand(expr)
+
+
+def mod_to_sympy(sympy, me):
+    """A ModElement read through ``items()``: sum over g of p(D) * g."""
+    expr = sympy.Integer(0)
+    for g, dp in me.items():
+        expr += dpoly_to_sympy(sympy, dp) * sympy.Symbol(repr(g))
+    return sympy.expand(expr)
+
+
+def dpoly_to_sympy(sympy, dp):
+    D = sympy.Symbol("D")
+    return sum((_rat(sympy, c) * D ** k for k, c in dp), sympy.Integer(0))
 
 
 class TestSubstMany:
@@ -290,3 +304,77 @@ class TestSubstMany:
             p.subst_many({"z": ({"u": 1}, 0)})          # substituted var absent
         with pytest.raises(ValueError):
             p.subst_linear("z", {"u": 1})
+
+
+class TestSympyOracle:
+    """The kernel's operations rebuilt in commuting symbols on small seeded
+    inputs: D and the generators are sympy symbols, so D^k g reads as the
+    product D**k * g and the Q[D]-action is multiplication."""
+
+    @pytest.fixture
+    def sympy(self):
+        return pytest.importorskip("sympy")
+
+    def test_pair_sesquilinearity(self, sympy):
+        # (f(D) g1)_L (h(D) g2) = f(-L) h(D + L) (g1_L g2)
+        D, Lsym, v = sympy.symbols("D L " + RULE_VAR)
+        rng = random.Random(23)
+        for _ in range(8):
+            table = {(g1, g2): rand_lambda(rng, (RULE_VAR,)) for g1 in (E1, E2) for g2 in (E1, E2)}
+            rule = StructureRule.from_table("product", table)
+            U, W = rand_lambda(rng, ("a",)), rand_lambda(rng, ("a",))
+            u, w = to_sympy(sympy, U), to_sympy(sympy, W)
+            want = sympy.Integer(0)
+            for (g1, g2), val in table.items():
+                f = u.coeff(sympy.Symbol(repr(g1))).xreplace({D: -Lsym})
+                h = w.coeff(sympy.Symbol(repr(g2))).xreplace({D: D + Lsym})
+                want += f * h * to_sympy(sympy, val).xreplace({v: Lsym})
+            got = pair(rule, U, W, "L")
+            assert got.context == ("a", "L")
+            assert sympy.expand(to_sympy(sympy, got) - want) == 0, (U, W)
+
+    def test_subst_dagger(self, sympy):
+        D, nu, lam, mu = sympy.symbols("D nu lam mu")
+        rng = random.Random(29)
+        for _ in range(10):
+            p = rand_lambda(rng, ("nu",))
+            want = to_sympy(sympy, p).xreplace({nu: -lam - mu - D})
+            got = p.subst_dagger(("lam", "mu"))
+            assert sympy.expand(to_sympy(sympy, got) - want) == 0, p
+
+    def test_shifted_actions(self, sympy):
+        D, lam, mu = sympy.symbols("D lam mu")
+        rng = random.Random(31)
+        for _ in range(6):
+            p = rand_lambda(rng, ("lam", "mu"))
+            ps = to_sympy(sympy, p)
+            for k in range(4):
+                got = to_sympy(sympy, shifted_action(p, "mu", k))
+                assert sympy.expand(got - (D + mu) ** k * ps) == 0, (p, k)
+                got = to_sympy(sympy, multi_shifted_action(p, ("lam", "mu"), k))
+                assert sympy.expand(got - (D + lam + mu) ** k * ps) == 0, (p, k)
+
+    def test_mod_element_arithmetic_and_linear_rule(self, sympy):
+        D = sympy.Symbol("D")
+        rng = random.Random(37)
+        images = {E1: rand_mod(rng), E2: rand_mod(rng)}
+        rule = LinearRule(images.__getitem__)
+
+        def S(me):
+            return mod_to_sympy(sympy, me)
+
+        for _ in range(12):
+            a, b = rand_mod(rng), rand_mod(rng)
+            c = Q(rng.randint(-4, 4), rng.randint(1, 3))
+            dp = rand_dpoly(rng)
+            k = rng.randint(0, 3)
+            assert sympy.expand(S(a + b) - S(a) - S(b)) == 0
+            assert sympy.expand(S(a - b) - S(a) + S(b)) == 0
+            assert sympy.expand(S(-a) + S(a)) == 0 and (a - a).is_zero()
+            assert sympy.expand(S(a.scale(c)) - _rat(sympy, c) * S(a)) == 0
+            assert sympy.expand(S(a.d_apply(k)) - D ** k * S(a)) == 0
+            assert sympy.expand(S(a.dmul(dp)) - dpoly_to_sympy(sympy, dp) * S(a)) == 0
+            # a Q[D]-module map: sum over g of (coefficient of g)(D) * image(g)
+            want = sum((S(a).coeff(sympy.Symbol(repr(g))) * S(img) for g, img in images.items()),
+                       sympy.Integer(0))
+            assert sympy.expand(S(rule.apply(a)) - want) == 0, a
