@@ -181,10 +181,7 @@ class LinearRule:
         return v
 
     def apply(self, e: ModElement) -> ModElement:
-        out = ModElement.zero()
-        for g, p in e.terms.items():
-            out = out + self.entry(g).dmul(p)
-        return out
+        return ModElement.combine((self.entry(g), k, c) for (g, k), c in e.bucket.items())
 
     def apply_lp(self, p: LambdaPoly) -> LambdaPoly:
         return p.apply_mod(self.apply)

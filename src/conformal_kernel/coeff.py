@@ -96,12 +96,11 @@ class CoeffElement:
 def coeff_normalize(me: ModElement, n: int) -> CoeffElement:
     """(D^k g)_n -> (-1)^k n(n-1)...(n-k+1) g_{n-k}, summed over the element."""
     out = CoeffElement.zero()
-    for g, p in me.terms.items():
-        for k, c in p:
-            fall = 1
-            for t in range(k):
-                fall *= n - t
-            out = out + CoeffElement.of(g, n - k, c * fall * (-1) ** k)
+    for (g, k), c in me.bucket.items():
+        fall = 1
+        for t in range(k):
+            fall *= n - t
+        out = out + CoeffElement.of(g, n - k, c * fall * (-1) ** k)
     return out
 
 
@@ -196,11 +195,8 @@ def coeff_product(alg: ConformalAlgebra, a: Mode, b: Mode) -> CoeffElement:
 
 def _as_report_value(e: CoeffElement) -> LambdaPoly:
     """Pack a coefficient element into a LambdaPoly so CheckReport can carry it."""
-    me = ModElement.zero()
-    for (g, n), c in e.items():
-        tagged = GenIndex(f"{g.family}@{n}", g.params)
-        me = me + ModElement.of(tagged).scale(c)
-    return LambdaPoly.of((), me)
+    return LambdaPoly.of((), ModElement({(GenIndex(f"{g.family}@{n}", g.params), 0): qify(c)
+                                         for (g, n), c in e.items()}))
 
 
 def check_coeff_poisson(alg: ConformalAlgebra, window: ModeWindow) -> list[CheckReport]:

@@ -49,7 +49,6 @@ from .constructors import ConformalModule
 from .linalg import solve_exact
 from .symcore import (
     Accumulator,
-    DPoly,
     GenIndex,
     LambdaPoly,
     ModElement,
@@ -536,7 +535,7 @@ def random_cochain(m: int, n: int, seed: int, family: str = "x",
 
     def raw(gens):
         total = sum(g.params[0] for g in gens)
-        out = LambdaPoly.zero(canon_vars(nvars))
+        acc = Accumulator(canon_vars(nvars))
         for t in range(n_terms):
             h = _hash_ints(seed, tuple(g.params for g in gens), t)
             coeff = h[0] % 5 - 2
@@ -548,9 +547,8 @@ def random_cochain(m: int, n: int, seed: int, family: str = "x",
             tgt = total - shift
             if tgt < 0:
                 continue
-            me = ModElement.of(GenIndex(family, (tgt,)), DPoly.d_power(dpow, coeff))
-            out = out + LambdaPoly.of(canon_vars(nvars), me, exp)
-        return out
+            acc.add_lp(LambdaPoly(acc.context, {exp: {(GenIndex(family, (tgt,)), dpow): coeff}}))
+        return acc.build()
 
     if m >= 2:
         return Cochain(m, n, symmetrize(raw, m, n))
@@ -851,9 +849,7 @@ def cochain_basis(m: int, n: int, families, bounds: AnsatzBounds) -> list[Cochai
                             coeff *= p ** d
                         if coeff == 0:
                             return LambdaPoly.zero(ctx)
-                        me = ModElement.of(GenIndex(fam.name, (tgt,)),
-                                           DPoly.d_power(beta, coeff))
-                        return LambdaPoly.of(ctx, me, ve)
+                        return LambdaPoly(ctx, {ve: {(GenIndex(fam.name, (tgt,)), beta): coeff}})
 
                     coch = Cochain(m, n, symmetrize(raw, m, n)) if m >= 2 else Cochain(m, n, raw)
                     out.append(coch)
@@ -932,13 +928,22 @@ def solve_ansatz(diff: Callable[[Cochain], Cochain], basis: Sequence[Cochain],
     """Exact c with sum_i c_i diff(basis_i) = target on the tuples, and the
     number of tuples left out because a column or the target escapes a rule
     window there."""
+    return _solve_points(tuples, lambda t: (_ansatz_columns(diff, basis, t), target.value(t)),
+                         len(basis))
+
+
+def _solve_points(points: Iterable, row: Callable[..., tuple], ncols: int
+                  ) -> tuple[list[Q] | None, int]:
+    """_solve_on over the (columns, target) that row(p) gives at each point,
+    and the number of points left out because a value escapes a rule
+    window there."""
     table, escaped = [], 0
-    for t in tuples:
+    for p in points:
         try:
-            table.append((t, _ansatz_columns(diff, basis, t), target.value(t)))
+            table.append((p,) + row(p))
         except WindowEscape:
             escaped += 1
-    return _solve_on(table, len(basis)), escaped
+    return _solve_on(table, ncols), escaped
 
 
 def degree0_basis(V: ConformalModule, bounds: AnsatzBounds, window: int = 3) -> list[ModElement]:
@@ -946,16 +951,19 @@ def degree0_basis(V: ConformalModule, bounds: AnsatzBounds, window: int = 3) -> 
     out = []
     for g in sorted(g for fam in V.families for g in fam.members(window)):
         for j in range(bounds.d_deg + 1):
-            out.append(ModElement.of(g, DPoly.d_power(j)))
+            out.append(ModElement({(g, j): 1}))
     return out
 
 
 def coboundary_solve(P: ConformalAlgebra, V: ConformalModule, graded: Graded,
                      bounds: AnsatzBounds,
-                     tuples: Callable[[int], list[tuple[GenIndex, ...]]]) -> Graded | None:
+                     tuples: Callable[[int], list[tuple[GenIndex, ...]]]
+                     ) -> tuple[Graded | None, int]:
     """Search a degree-(k-1) preimage of a degree-k cocycle within the
     bounded ansatz; at target degree 1 the preimages are module elements
-    v with image a -> a_{-D} v."""
+    v with image a -> a_{-D} v.  Also returns the number of (component,
+    tuple) points left out of the system because a column or the target
+    escapes a rule window there."""
     degree = {m + n for (m, n) in graded}
     if len(degree) != 1:
         raise ValueError("graded cochain must be homogeneous")
@@ -964,14 +972,12 @@ def coboundary_solve(P: ConformalAlgebra, V: ConformalModule, graded: Graded,
         target = (graded.get((1, 0)) or graded.get((0, 1))).retag(1, 0)
         basis0 = degree0_basis(V, bounds)
         images0 = [d_ce_degree0(V, v) for v in basis0]
-        sol = _solve_on([(t, [img.value(t) for img in images0], target.value(t))
-                         for t in tuples(1)], len(basis0))
+        sol, escaped = _solve_points(
+            tuples(1), lambda t: ([img.value(t) for img in images0], target.value(t)),
+            len(basis0))
         if sol is None:
-            return None
-        out_v = ModElement.zero()
-        for c, v in zip(sol, basis0):
-            out_v = out_v + v.scale(c)
-        return {(0, 0): out_v}
+            return None, escaped
+        return {(0, 0): ModElement.combine((v, 0, c) for c, v in zip(sol, basis0))}, escaped
     # candidate bidegree -> its basis, and the image components d_total gives it
     bases = {key: cochain_basis(*key, P.families, bounds)
              for key in fgv_bidegrees(k - 1) if sum(key) == k - 1}
@@ -987,15 +993,19 @@ def coboundary_solve(P: ConformalAlgebra, V: ConformalModule, graded: Graded,
                 out += [None] * len(basis)
         return out
 
+    def row(point):
+        tk, t = target_keys[point[0]], point[1]
+        return columns(tk, t), graded[tk].value(t) if tk in graded else None
+
     candidates = [(key, coch) for key, basis in bases.items() for coch in basis]
-    sol = _solve_on([((ci, t), columns(tk, t), graded[tk].value(t) if tk in graded else None)
-                     for ci, tk in enumerate(target_keys) for t in tuples(sum(tk))],
-                    len(candidates))
+    sol, escaped = _solve_points(
+        [(ci, t) for ci, tk in enumerate(target_keys) for t in tuples(sum(tk))], row,
+        len(candidates))
     if sol is None:
-        return None
+        return None, escaped
     out: Graded = {}
     for c, (key, coch) in zip(sol, candidates):
         if c == 0:
             continue
         out[key] = out[key] + coch.scale(c) if key in out else coch.scale(c)
-    return out or {key: zero_cochain(*key) for key in list(bases)[:1]}
+    return out or {key: zero_cochain(*key) for key in list(bases)[:1]}, escaped

@@ -93,7 +93,7 @@ def _lift(rule: OrdRule | None, kind: str) -> StructureRule | None:
 
 
 def _d_free(v: ModElement) -> ModElement:
-    if any(p.degree > 0 for p in v.terms.values()):
+    if any(k > 0 for _, k in v.bucket):
         raise ValueError("ordinary algebra element has a D-dependent coefficient")
     return v
 
@@ -269,10 +269,8 @@ def direct_sum(p1: ConformalAlgebra, p2: ConformalAlgebra,
             v = rule_pair[s1].entry(b1, b2)
             if v is None:
                 return None
-            return v.apply_mod(
-                lambda me: ModElement({GenIndex(prefixes[s1] + g.family, g.params): p
-                                       for g, p in me.terms.items()})
-            )
+            return v.apply_mod(lambda me: me.relabel(
+                lambda g: GenIndex(prefixes[s1] + g.family, g.params)))
         return StructureRule(kindname, fn)
 
     kind = p1.kind if p1.kind == p2.kind else KIND_NC_POISSON
@@ -423,7 +421,7 @@ def semidirect_product(alg: ConformalAlgebra, mod: ConformalModule,
     vfams = [GenFamily(prefix + f.name, f.arity, f.lo, f.hi) for f in mod.families]
 
     def tag(me: ModElement) -> ModElement:
-        return ModElement({GenIndex(prefix + g.family, g.params): p for g, p in me.terms.items()})
+        return me.relabel(lambda g: GenIndex(prefix + g.family, g.params))
 
     def split(g: GenIndex):
         if g.family.startswith(prefix):

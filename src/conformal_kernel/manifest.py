@@ -30,7 +30,7 @@ from .algebra import (
     RULE_VAR,
     StructureRule,
 )
-from .symcore import GenIndex, LambdaPoly, ModElement, DPoly, Q
+from .symcore import GenIndex, LambdaPoly, Q, qify
 
 
 class ManifestError(Exception):
@@ -222,15 +222,14 @@ def instantiate(rule_defs: list[RuleDef], families: dict[str, GenFamily],
         params = _affine_of(key.gen, binding)
         bk = (fam, params, key.dpow, key.sexp)
         bucket[bk] = bucket.get(bk, Fraction(0)) + coeff
-    out = LambdaPoly.zero(spec_vars)
+    data: dict = {}
     for (fam, params, dpow, sexp), coeff in bucket.items():
         if coeff == 0:
             continue
         if not families[fam].contains(params):
             return None  # a needed generator escapes the declared window
-        me = ModElement.of(GenIndex(fam, params), DPoly.d_power(dpow, coeff))
-        out = out + LambdaPoly.of(spec_vars, me, sexp)
-    return out
+        data.setdefault(sexp, {})[GenIndex(fam, params), dpow] = qify(coeff)
+    return LambdaPoly(spec_vars, data)
 
 
 # ---------------------------------------------------------------------------

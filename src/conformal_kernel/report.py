@@ -44,7 +44,7 @@ def render_tuple(t) -> str:
     def one(x):
         if isinstance(x, ModElement):
             items = x.items()
-            if len(items) == 1 and not items[0][1].is_zero() and items[0][1].coeffs == (1,):
+            if len(items) == 1 and items[0][1].coeffs == (1,):
                 return str(items[0][0])
             return repr(x)
         return str(x)

@@ -24,7 +24,7 @@ left.  Its special cases are
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import factorial
 from operator import add
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -73,11 +73,6 @@ class DPoly:
             cs.pop()
         self.coeffs: tuple[Q, ...] = tuple(cs)
 
-    # -- constructors
-    @staticmethod
-    def zero() -> "DPoly":
-        return DPoly()
-
     @staticmethod
     def const(c) -> "DPoly":
         return DPoly((qify(c),))
@@ -87,60 +82,10 @@ class DPoly:
         """c * D^k"""
         return DPoly((ZERO,) * k + (qify(c),))
 
-    # -- queries
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
     def __iter__(self) -> Iterator[tuple[int, Q]]:
         for k, c in enumerate(self.coeffs):
             if c != 0:
                 yield k, c
-
-    # -- arithmetic
-    def __add__(self, other: "DPoly") -> "DPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return DPoly(out)
-
-    def __neg__(self) -> "DPoly":
-        return DPoly(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: "DPoly") -> "DPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "DPoly") -> "DPoly":
-        if self.is_zero() or other.is_zero():
-            return DPoly()
-        out = [ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b != 0:
-                    out[i + j] += a * b
-        return DPoly(out)
-
-    def scale(self, c) -> "DPoly":
-        c = qify(c)
-        if c == 0:
-            return DPoly()
-        if c == 1:
-            return self
-        return DPoly(tuple(c * a for a in self.coeffs))
-
-    def shift(self, k: int) -> "DPoly":
-        """Multiply by D^k."""
-        if self.is_zero() or k == 0:
-            return self
-        return DPoly((ZERO,) * k + self.coeffs)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, DPoly) and self.coeffs == other.coeffs
@@ -149,7 +94,7 @@ class DPoly:
         return hash(self.coeffs)
 
     def __repr__(self) -> str:
-        if self.is_zero():
+        if not self.coeffs:
             return "0"
         parts = []
         for k, c in self:
@@ -159,10 +104,6 @@ class DPoly:
                 head = "" if c == 1 else ("-" if c == -1 else f"{c}*")
                 parts.append(f"{head}D" + (f"^{k}" if k > 1 else ""))
         return " + ".join(parts).replace("+ -", "- ")
-
-
-DP_ZERO = DPoly()
-DP_ONE = DPoly.const(1)
 
 
 # ---------------------------------------------------------------------------
@@ -190,53 +131,60 @@ def gen(family: str, *params: int) -> GenIndex:
 
 
 class ModElement:
-    """Element of a free Q[D]-module: a finite map generator -> DPoly.
+    """Element of a free Q[D]-module, stored as the bucket one exponent slot
+    of a LambdaPoly holds: {(generator, D-power): nonzero scalar}.
 
-    Normal form: no zero DPoly is ever stored.
+    The constructor takes the bucket as is and shares it; buckets are never
+    written to once built.  ``of`` reads a DPoly coefficient, and ``items``
+    groups the bucket back into (generator, DPoly) pairs for display.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("bucket",)
 
-    def __init__(self, terms: dict[GenIndex, DPoly] | None = None, _trusted=False):
-        if terms is None:
-            self.terms: dict[GenIndex, DPoly] = {}
-        elif _trusted:
-            self.terms = terms
-        else:
-            self.terms = {g: p for g, p in terms.items() if not p.is_zero()}
+    def __init__(self, bucket: dict[tuple[GenIndex, int], Q] | None = None):
+        self.bucket: dict[tuple[GenIndex, int], Q] = {} if bucket is None else bucket
 
     @staticmethod
     def zero() -> "ModElement":
         return ModElement()
 
     @staticmethod
-    def of(g: GenIndex, coeff: DPoly = DP_ONE) -> "ModElement":
-        if coeff.is_zero():
-            return ModElement()
-        return ModElement({g: coeff}, _trusted=True)
+    def of(g: GenIndex, coeff: DPoly | None = None) -> "ModElement":
+        """coeff(D) g, with coeff = 1 by default."""
+        return ModElement({(g, 0): ONE} if coeff is None else {(g, k): c for k, c in coeff})
+
+    @staticmethod
+    def combine(parts: Iterable[tuple["ModElement", int, Q]]) -> "ModElement":
+        """sum of c * D^k * e over the (e, k, c) in parts."""
+        out: dict = {}
+        for e, k, c in parts:
+            _merge(out, None, _dshift(e.bucket, k), c)
+        return ModElement(_clean_bucket(out.get(None, {})))
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.bucket
 
     def items(self) -> list[tuple[GenIndex, DPoly]]:
-        return sorted(self.terms.items())
+        """(generator, coefficient) pairs, sorted by generator."""
+        coeffs: dict[GenIndex, list] = {}
+        for (g, k), c in self.bucket.items():
+            cs = coeffs.setdefault(g, [])
+            cs.extend([ZERO] * (k + 1 - len(cs)))
+            cs[k] = c
+        return [(g, DPoly(coeffs[g])) for g in sorted(coeffs)]
+
+    def relabel(self, f: Callable[[GenIndex], GenIndex]) -> "ModElement":
+        """Rename every generator by the injective map f."""
+        return ModElement({(f(g), k): c for (g, k), c in self.bucket.items()})
 
     def __add__(self, other: "ModElement") -> "ModElement":
-        out = dict(self.terms)
-        for g, p in other.terms.items():
-            s = out.get(g)
-            s = p if s is None else s + p
-            if s.is_zero():
-                out.pop(g, None)
-            else:
-                out[g] = s
-        return ModElement(out, _trusted=True)
+        return ModElement.combine(((self, 0, ONE), (other, 0, ONE)))
 
     def __neg__(self) -> "ModElement":
-        return ModElement({g: -p for g, p in self.terms.items()}, _trusted=True)
+        return self.scale(-1)
 
     def __sub__(self, other: "ModElement") -> "ModElement":
-        return self + (-other)
+        return ModElement.combine(((self, 0, ONE), (other, 0, -1)))
 
     def scale(self, c) -> "ModElement":
         c = qify(c)
@@ -244,25 +192,21 @@ class ModElement:
             return ModElement()
         if c == 1:
             return self
-        return ModElement({g: p.scale(c) for g, p in self.terms.items()}, _trusted=True)
+        return ModElement({gk: qify(c * v) for gk, v in self.bucket.items()})
 
     def dmul(self, dp: DPoly) -> "ModElement":
         """Apply a polynomial in D to this element (left action of Q[D])."""
-        if dp.is_zero():
-            return ModElement()
-        return ModElement({g: dp * p for g, p in self.terms.items()})
+        return ModElement.combine((self, j, d) for j, d in dp)
 
     def d_apply(self, power: int) -> "ModElement":
         """Multiply every coefficient by D^power."""
-        if power == 0:
-            return self
-        return ModElement({g: p.shift(power) for g, p in self.terms.items()}, _trusted=True)
+        return ModElement(_dshift(self.bucket, power))
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, ModElement) and self.terms == other.terms
+        return isinstance(other, ModElement) and self.bucket == other.bucket
 
     def __hash__(self) -> int:
-        return hash(tuple(sorted(self.terms.items())))
+        return hash(frozenset(self.bucket.items()))
 
     def __repr__(self) -> str:
         if self.is_zero():
@@ -279,13 +223,6 @@ def d_apply(e: ModElement, power: int) -> ModElement:
 # spectral-variable polynomials
 # ---------------------------------------------------------------------------
 
-class SpectralVar(NamedTuple):
-    """A named spectral variable at a fixed position of an ordered context."""
-
-    name: str
-    index: int
-
-
 class LambdaPoly:
     """Polynomial in an ordered context of spectral variables with
     free-module coefficients; an element of A[lambda_1, ..., lambda_k].
@@ -294,7 +231,7 @@ class LambdaPoly:
     variable) -> {(generator, D-power): nonzero scalar}, with no empty inner
     map, so structural equality is semantic equality.  The reserved symbol
     D never appears as a context variable: D-content lives in the inner
-    keys.  ``terms`` views the same value as exponent -> ModElement.
+    keys.  Each inner map is a ModElement's bucket, shared, never copied.
 
     The constructor takes ``data`` as is; build values with ``of``,
     ``zero``, the arithmetic below or an ``Accumulator``.
@@ -317,38 +254,26 @@ class LambdaPoly:
     def of(context: tuple[str, ...], me: ModElement, exp: tuple[int, ...] | None = None) -> "LambdaPoly":
         if exp is None:
             exp = (0,) * len(context)
-        bucket = {(g, k): c for g, p in me.terms.items() for k, c in p}
-        return LambdaPoly(context, {tuple(exp): bucket} if bucket else None)
+        return LambdaPoly(context, {tuple(exp): me.bucket} if me.bucket else None)
 
     # -- queries
     def is_zero(self) -> bool:
         return not self.data
 
-    @property
-    def terms(self) -> dict[tuple[int, ...], ModElement]:
-        return {e: _mod_element(b) for e, b in self.data.items()}
-
     def items(self) -> list[tuple[tuple[int, ...], ModElement]]:
-        return sorted(self.terms.items())
+        return [(e, ModElement(self.data[e])) for e in sorted(self.data)]
 
     def flat(self) -> list[tuple[tuple[int, ...], GenIndex, int, Q]]:
         """The nonzero terms as (exponent, generator, D-power, scalar)."""
         return [(exp, g, k, c) for exp, b in self.data.items() for (g, k), c in b.items()]
 
     def coefficient(self, exp: tuple[int, ...]) -> ModElement:
-        b = self.data.get(tuple(exp))
-        return ModElement.zero() if b is None else _mod_element(b)
-
-    def var_index(self, name: str) -> int:
-        return self.context.index(name)
+        return ModElement(self.data.get(tuple(exp)))
 
     # -- arithmetic
-    def _require_same_context(self, other: "LambdaPoly"):
+    def __add__(self, other: "LambdaPoly") -> "LambdaPoly":
         if self.context != other.context:
             raise ValueError(f"context mismatch: {self.context} vs {other.context}")
-
-    def __add__(self, other: "LambdaPoly") -> "LambdaPoly":
-        self._require_same_context(other)
         acc = Accumulator(self.context)
         acc.add_lp(self)
         acc.add_lp(other)
@@ -375,23 +300,21 @@ class LambdaPoly:
             acc.add_lp(self, d, dshift=j)
         return acc.build()
 
-    def mul_monomial(self, exp: tuple[int, ...]) -> "LambdaPoly":
-        if not any(exp):
-            return self
-        return LambdaPoly(self.context,
-                          {tuple(map(add, e, exp)): b for e, b in self.data.items()})
-
     def mul_var(self, name: str, power: int = 1) -> "LambdaPoly":
-        exp = [0] * len(self.context)
-        exp[self.var_index(name)] = power
-        return self.mul_monomial(tuple(exp))
+        i = self.context.index(name)
+        if not power:
+            return self
+        return LambdaPoly(self.context, {e[:i] + (e[i] + power,) + e[i + 1:]: b
+                                         for e, b in self.data.items()})
 
     def apply_mod(self, f: Callable[[ModElement], ModElement]) -> "LambdaPoly":
         """Map a linear function over every coefficient."""
-        acc = Accumulator(self.context)
-        for e, me in self.terms.items():
-            acc.add_lp(LambdaPoly.of(self.context, f(me), e))
-        return acc.build()
+        out = {}
+        for e, b in self.data.items():
+            v = f(ModElement(b)).bucket
+            if v:
+                out[e] = v
+        return LambdaPoly(self.context, out)
 
     # -- context management
     def rename_context(self, new_context: tuple[str, ...]) -> "LambdaPoly":
@@ -474,10 +397,7 @@ class LambdaPoly:
         """n-th products of a single-variable polynomial: pairs (n, n! * [nu^n])."""
         if len(self.context) != 1:
             raise ValueError("extract_nth needs a single-variable context")
-        out = []
-        for (k,), m in sorted(self.terms.items()):
-            out.append((k, m.scale(factorial(k))))
-        return out
+        return [(k, m.scale(factorial(k))) for (k,), m in self.items()]
 
     def __eq__(self, other) -> bool:
         return (
@@ -501,18 +421,6 @@ class LambdaPoly:
             )
             parts.append(f"{mono}·({m})" if mono else f"({m})")
         return " + ".join(parts)
-
-
-def _mod_element(bucket: dict[tuple[GenIndex, int], Q]) -> ModElement:
-    coeffs: dict[GenIndex, list] = {}
-    for (g, k), c in bucket.items():
-        cs = coeffs.get(g)
-        if cs is None:
-            cs = coeffs[g] = []
-        if len(cs) <= k:
-            cs.extend([ZERO] * (k + 1 - len(cs)))
-        cs[k] = c
-    return ModElement({g: DPoly(cs) for g, cs in coeffs.items()}, _trusted=True)
 
 
 def _positions(names: tuple[str, ...], context: tuple[str, ...]) -> list[int]:
@@ -575,10 +483,15 @@ def _clean(context: tuple[str, ...], items) -> "LambdaPoly":
     dropped, integral Fractions made ints."""
     terms = {}
     for exp, bucket in items:
-        clean = {gk: qify(c) for gk, c in bucket.items() if c}
+        clean = _clean_bucket(bucket)
         if clean:
             terms[exp] = clean
     return LambdaPoly(context, terms)
+
+
+def _clean_bucket(bucket: dict) -> dict:
+    """The bucket with zero scalars dropped and integral Fractions made ints."""
+    return {gk: qify(c) for gk, c in bucket.items() if c}
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -662,15 +575,7 @@ def shifted_action(value: LambdaPoly, var: str, power: int) -> LambdaPoly:
 
     Realizes the second sesquilinearity rule a_lambda(D b) = (D+lambda) a_lambda b.
     """
-    if power == 0:
-        return value
-    acc = Accumulator(value.context)
-    vi = value.var_index(var)
-    mono = [0] * len(value.context)
-    for j in range(power + 1):
-        mono[vi] = power - j
-        acc.add_lp(value, comb(power, j), tuple(mono), dshift=j)
-    return acc.build()
+    return multi_shifted_action(value, (var,), power)
 
 
 def multi_shifted_action(value: LambdaPoly, vars: tuple[str, ...], power: int) -> LambdaPoly:
@@ -678,7 +583,7 @@ def multi_shifted_action(value: LambdaPoly, vars: tuple[str, ...], power: int) -
     if power == 0:
         return value
     acc = Accumulator(value.context)
-    idx = [value.var_index(v) for v in vars]
+    idx = _positions(vars, value.context)
     for mult, split in _multinomial_expansion(power, len(vars) + 1):
         kd = split[-1]
         exp = [0] * len(value.context)

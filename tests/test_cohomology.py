@@ -281,8 +281,8 @@ class TestCocycleAndSolve:
         target_rule = lambda g: ModElement.of(xg(g.params[0]), DPoly.d_power(1, g.params[0]))
         N = linear_cochain(target_rule)
         image = d_total(P, V, {(1, 0): N})
-        sol = coboundary_solve(P, V, image, bounds, lambda s: tuples_for(s, 5, seed=17))
-        assert sol is not None
+        sol, escaped = coboundary_solve(P, V, image, bounds, lambda s: tuples_for(s, 5, seed=17))
+        assert sol is not None and escaped == 0
         # image of the solution equals the image of N on fresh tuples
         img2 = d_total(P, V, sol)
         for key in image:
@@ -293,8 +293,8 @@ class TestCocycleAndSolve:
         P, V = setup
         bounds = AnsatzBounds(d_deg=1, l_deg=1, param_deg=1)
         target = {(0, 2): zero_cochain(0, 2), (2, 0): zero_cochain(2, 0)}
-        sol = coboundary_solve(P, V, target, bounds, lambda s: tuples_for(s, 4, seed=29))
-        assert sol is not None
+        sol, escaped = coboundary_solve(P, V, target, bounds, lambda s: tuples_for(s, 4, seed=29))
+        assert sol is not None and escaped == 0
         img = d_total(P, V, sol)
         for key, coch in img.items():
             assert cochain_zero_on(coch, tuples_for(coch.slots, 4, seed=31))
@@ -316,9 +316,9 @@ class TestDegreeZeroSolve:
         P, V = setup
         v = ModElement.of(xg(2), DPoly.d_power(1)) + ModElement.of(xg(1))
         gamma = d_ce_degree0(V, v)
-        sol = coboundary_solve(P, V, {(1, 0): gamma}, AnsatzBounds(d_deg=2, l_deg=0),
-                               lambda s: tuples_for(s, 6, seed=41))
-        assert sol is not None and (0, 0) in sol
+        sol, escaped = coboundary_solve(P, V, {(1, 0): gamma}, AnsatzBounds(d_deg=2, l_deg=0),
+                                        lambda s: tuples_for(s, 6, seed=41))
+        assert sol is not None and (0, 0) in sol and escaped == 0
         back = d_ce_degree0(V, sol[(0, 0)])
         for t in tuples_for(1, 6, seed=43):
             assert back.value(t) == gamma.value(t)
@@ -328,9 +328,9 @@ class TestDegreeZeroSolve:
         # a -> a_{-D} v within the ansatz
         P, V = setup
         gamma = linear_cochain(lambda g: ModElement.of(g))
-        sol = coboundary_solve(P, V, {(1, 0): gamma}, AnsatzBounds(d_deg=2, l_deg=0),
-                               lambda s: tuples_for(s, 6, seed=47))
-        assert sol is None
+        sol, escaped = coboundary_solve(P, V, {(1, 0): gamma}, AnsatzBounds(d_deg=2, l_deg=0),
+                                        lambda s: tuples_for(s, 6, seed=47))
+        assert sol is None and escaped == 0
 
 
 def ex2_17(doubled=False):
@@ -433,3 +433,19 @@ class TestAnsatzColumns:
         sol, escaped = cohomology.solve_ansatz(lambda z: d_h(P, V, z), basis, obstruction(ds),
                                                tuples)
         assert (sol is not None, escaped) == (True, 10)
+
+    def test_coboundary_solve_leaves_escapes_out(self, tmp_path):
+        # on the capped family the (0, 2) and (2, 0) images reach past x[3]
+        # on some tuples; those points are left out and counted, no traceback
+        with open(os.path.join(DEMOS, "ex2_17.alg"), encoding="utf-8") as fh:
+            text = fh.read()
+        path = tmp_path / "ex2_17_capped.alg"
+        path.write_text(text.replace("family x arity 1 min 0\n",
+                                     "family x arity 1 min 0 max 3\n"))
+        P = parse_file(str(path)).algebra()
+        graded = {(0, 2): bilinear_cochain(P.product),
+                  (2, 0): bilinear_cochain(P.bracket).retag(2, 0)}
+        _sol, escaped = coboundary_solve(
+            P, adjoint_module(P), graded, AnsatzBounds(1, 1, 1),
+            lambda s: list(itertools.product(P.generators(3), repeat=s))[:20])
+        assert escaped > 0

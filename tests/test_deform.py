@@ -182,6 +182,25 @@ class TestInfinitesimal:
         ds = DeformationSeries(current_poly(), [bad])
         assert infinitesimal_is_cocycle(ds, window=2).status == "fail"
 
+    def test_disagreement_with_d_h_fails_with_a_note(self, monkeypatch):
+        # a d_H mu_1 that differs from the convolution value on every triple:
+        # the check fails with a count, and every witness (the convolution
+        # value) lives on the algebra's own generators
+        real = deform.d_h
+
+        def perturbed(P, V, gamma):
+            dg = real(P, V, gamma)
+            return dg + Cochain(dg.m, dg.n, lambda t: LambdaPoly.of(dg.context, ModElement.of(t[0])))
+
+        monkeypatch.setattr(deform, "d_h", perturbed)
+        ds = order2_series().truncate(1)
+        rep = infinitesimal_is_cocycle(ds, window=1)
+        assert rep.status == "fail" and rep.checked == 8
+        assert rep.notes == ["cross-asserted against the Hochschild differential of mu_1"
+                             " (DISAGREES with d_H mu_1 on 8 tuples)"]
+        fams = {f.name for f in ds.alg.families}
+        assert all(g.family in fams for _t, r in rep.witnesses for _e, g, _k, _c in r.flat())
+
 
 class TestEquivalence:
     def test_identity_case(self):
