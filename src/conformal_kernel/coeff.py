@@ -282,17 +282,21 @@ def annihilation_relations_check(alg: ConformalAlgebra, window: ModeWindow,
     linearity in the element plus compatibility with the D-rewrite."""
     import random
 
-    from .symcore import DPoly
-
     rng = random.Random(seed)
     gens = alg.generators(window.gen_window)
+
+    def term():
+        g = rng.choice(gens)
+        return ModElement({(g, k): c for k, c in enumerate([rng.randint(-3, 3) for _ in range(4)])
+                           if c})
+
     samples = []
     for _ in range(20):
         a = ModElement.zero()
         b = ModElement.zero()
         for _ in range(2):
-            a = a + ModElement.of(rng.choice(gens), DPoly([rng.randint(-3, 3) for _ in range(4)]))
-            b = b + ModElement.of(rng.choice(gens), DPoly([rng.randint(-3, 3) for _ in range(4)]))
+            a = a + term()
+            b = b + term()
         alpha = Q(rng.randint(-4, 4), rng.randint(1, 3))
         n = rng.randint(window.n_min, window.n_max)
         samples.append((a, b, alpha, n))

@@ -904,13 +904,22 @@ def _ansatz_columns(diff: Callable[[Cochain], Cochain], basis: Sequence[Cochain]
     return columns
 
 
-def _solve_on(table: Sequence[tuple], ncols: int) -> list[Q] | None:
+def _solve_on(points: Iterable, row: Callable[..., tuple], ncols: int
+              ) -> tuple[list[Q] | None, int]:
     """Exact c with sum_j c_j columns[j] = target at every point, for
-    `table` the (point, columns, target) values, compared term by term; a
-    value of None is zero.  The rows are the (point, term) pairs in the
-    order first met, columns before the target and each value's terms in
-    sorted order, so the system depends on the values alone, not on how
-    they were computed; it goes to solve_exact as a dense matrix."""
+    (columns, target) = row(point), compared term by term; a value of None
+    is zero.  A point where row meets a WindowEscape is left out, and the
+    second result counts those points.  The rows are the (point, term)
+    pairs in the order first met, columns before the target and each
+    value's terms in sorted order, so the system depends on the values
+    alone, not on how they were computed; it goes to solve_exact as a
+    dense matrix."""
+    table, escaped = [], 0
+    for p in points:
+        try:
+            table.append((p,) + row(p))
+        except WindowEscape:
+            escaped += 1
     rows: dict = {}
     for j in range(ncols + 1):
         for p, columns, target in table:
@@ -919,7 +928,8 @@ def _solve_on(table: Sequence[tuple], ncols: int) -> list[Q] | None:
                 continue
             for exp, g, k, c in sorted(v.flat()):
                 rows.setdefault((p, exp, g, k), [0] * (ncols + 1))[j] += c
-    return solve_exact([r[:ncols] for r in rows.values()], [r[ncols] for r in rows.values()])
+    return solve_exact([r[:ncols] for r in rows.values()],
+                       [r[ncols] for r in rows.values()]), escaped
 
 
 def solve_ansatz(diff: Callable[[Cochain], Cochain], basis: Sequence[Cochain],
@@ -928,22 +938,8 @@ def solve_ansatz(diff: Callable[[Cochain], Cochain], basis: Sequence[Cochain],
     """Exact c with sum_i c_i diff(basis_i) = target on the tuples, and the
     number of tuples left out because a column or the target escapes a rule
     window there."""
-    return _solve_points(tuples, lambda t: (_ansatz_columns(diff, basis, t), target.value(t)),
-                         len(basis))
-
-
-def _solve_points(points: Iterable, row: Callable[..., tuple], ncols: int
-                  ) -> tuple[list[Q] | None, int]:
-    """_solve_on over the (columns, target) that row(p) gives at each point,
-    and the number of points left out because a value escapes a rule
-    window there."""
-    table, escaped = [], 0
-    for p in points:
-        try:
-            table.append((p,) + row(p))
-        except WindowEscape:
-            escaped += 1
-    return _solve_on(table, ncols), escaped
+    return _solve_on(tuples, lambda t: (_ansatz_columns(diff, basis, t), target.value(t)),
+                     len(basis))
 
 
 def degree0_basis(V: ConformalModule, bounds: AnsatzBounds, window: int = 3) -> list[ModElement]:
@@ -961,9 +957,8 @@ def coboundary_solve(P: ConformalAlgebra, V: ConformalModule, graded: Graded,
                      ) -> tuple[Graded | None, int]:
     """Search a degree-(k-1) preimage of a degree-k cocycle within the
     bounded ansatz; at target degree 1 the preimages are module elements
-    v with image a -> a_{-D} v.  Also returns the number of (component,
-    tuple) points left out of the system because a column or the target
-    escapes a rule window there."""
+    v with image a -> a_{-D} v; also the number of (component, tuple)
+    points left out because a value escapes a rule window there."""
     degree = {m + n for (m, n) in graded}
     if len(degree) != 1:
         raise ValueError("graded cochain must be homogeneous")
@@ -972,7 +967,7 @@ def coboundary_solve(P: ConformalAlgebra, V: ConformalModule, graded: Graded,
         target = (graded.get((1, 0)) or graded.get((0, 1))).retag(1, 0)
         basis0 = degree0_basis(V, bounds)
         images0 = [d_ce_degree0(V, v) for v in basis0]
-        sol, escaped = _solve_points(
+        sol, escaped = _solve_on(
             tuples(1), lambda t: ([img.value(t) for img in images0], target.value(t)),
             len(basis0))
         if sol is None:
@@ -998,7 +993,7 @@ def coboundary_solve(P: ConformalAlgebra, V: ConformalModule, graded: Graded,
         return columns(tk, t), graded[tk].value(t) if tk in graded else None
 
     candidates = [(key, coch) for key, basis in bases.items() for coch in basis]
-    sol, escaped = _solve_points(
+    sol, escaped = _solve_on(
         [(ci, t) for ci, tk in enumerate(target_keys) for t in tuples(sum(tk))], row,
         len(candidates))
     if sol is None:

@@ -397,7 +397,7 @@ class LambdaPoly:
         """n-th products of a single-variable polynomial: pairs (n, n! * [nu^n])."""
         if len(self.context) != 1:
             raise ValueError("extract_nth needs a single-variable context")
-        return [(k, m.scale(factorial(k))) for (k,), m in self.items()]
+        return [(k, ModElement(b).scale(factorial(k))) for (k,), b in sorted(self.data.items())]
 
     def __eq__(self, other) -> bool:
         return (
