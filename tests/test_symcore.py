@@ -3,7 +3,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from conformal_kernel.algebra import RULE_VAR, LinearRule, StructureRule, pair
+from conformal_kernel.algebra import RULE_VAR, LinearRule, StructureRule, pair, pair_at
 from conformal_kernel.symcore import (
     DPoly,
     GenIndex,
@@ -378,3 +378,88 @@ class TestSympyOracle:
             want = sum((S(a).coeff(sympy.Symbol(repr(g))) * S(img) for g, img in images.items()),
                        sympy.Integer(0))
             assert sympy.expand(S(rule.apply(a)) - want) == 0, a
+
+    # -- pairing at linear forms, and signed sums of pairings
+
+    GENS = (E1, E2)
+
+    def small_lambda(self, rng, ctx, terms=2):
+        """1 to `terms` nonzero terms, exponents and D-powers up to 1 and 2."""
+        out = LambdaPoly.zero(ctx)
+        for _ in range(rng.randint(1, terms)):
+            dp = DPoly([Q(rng.randint(-3, 3) or 1, rng.randint(1, 2)) for _ in range(rng.randint(1, 3))])
+            me = ModElement.of(rng.choice(self.GENS), dp)
+            out = out + LambdaPoly.of(ctx, me, tuple(rng.randint(0, 1) for _ in ctx))
+        return out
+
+    def rand_rule(self, rng, kind="product"):
+        table = {(g1, g2): self.small_lambda(rng, (RULE_VAR,))
+                 for g1 in self.GENS for g2 in self.GENS}
+        return StructureRule.from_table(kind, table), table
+
+    def sym_pair(self, sympy, table, u, w, form):
+        """u op_f w for expressions linear in the generator symbols: the
+        D's of u's coefficient become -f, those of w's become D + f, and
+        the rule variable becomes f."""
+        D, v = sympy.symbols("D " + RULE_VAR)
+        out = sympy.Integer(0)
+        for (g1, g2), val in table.items():
+            cu = u.coeff(sympy.Symbol(repr(g1))).xreplace({D: -form})
+            cw = w.coeff(sympy.Symbol(repr(g2))).xreplace({D: D + form})
+            out += cu * cw * to_sympy(sympy, val).xreplace({v: form})
+        return sympy.expand(out)
+
+    def sym_form(self, sympy, form):
+        coeffs, d = form
+        return d * sympy.Symbol("D") + sum((c * sympy.Symbol(u) for u, c in coeffs.items()),
+                                           sympy.Integer(0))
+
+    @pytest.mark.parametrize("uw_ctx, form, ctx", [
+        (("lam",), ({"lam": 1, "mu": 1}, 0), ("lam", "mu")),             # lambda + mu
+        (("a",), ({"lam": -1}, -1), ("a", "lam")),                       # -lambda - D
+        (("a",), ({"c1": -1, "c2": -1, "c3": -1}, -1), ("c1", "a", "c2", "c3")),
+        (("a",), ({}, -1), ("a",)),                                      # -D
+        ((), ({}, -1), ()),
+    ])
+    def test_pair_at_forms(self, sympy, uw_ctx, form, ctx):
+        rng = random.Random(43 + len(ctx))
+        f = self.sym_form(sympy, form)
+        for _ in range(4):
+            rule, table = self.rand_rule(rng)
+            U, W = self.small_lambda(rng, uw_ctx, 3), self.small_lambda(rng, uw_ctx, 3)
+            got = pair_at(rule, U, W, form, ctx)
+            assert got.context == ctx
+            want = self.sym_pair(sympy, table, to_sympy(sympy, U), to_sympy(sympy, W), f)
+            assert sympy.expand(to_sympy(sympy, got) - want) == 0, (U, W, form)
+
+    def test_signed_sums_of_pairings(self, sympy):
+        # each residual is a signed sum of nested pairings in one value
+        from conformal_kernel.algebra import (
+            L, M, _pair_comm_residual, _triple_assoc_residual, _triple_jacobi_residual,
+            _triple_leibniz_residual)
+
+        Ls, Ms = sympy.symbols("L M")
+        rng = random.Random(47)
+        for _ in range(3):
+            (prod, tp), (br, tb) = self.rand_rule(rng), self.rand_rule(rng, "bracket")
+            a, b, c = (self.small_lambda(rng, ()).coefficient(()) for _ in range(3))
+            sa, sb, sc = (mod_to_sympy(sympy, x) for x in (a, b, c))
+
+            def P(t, u, w, f):
+                return self.sym_pair(sympy, t, u, w, f)
+
+            def S(value):
+                return to_sympy(sympy, value)
+
+            assoc = P(tp, sa, P(tp, sb, sc, Ms), Ls) - P(tp, P(tp, sa, sb, Ls), sc, Ls + Ms)
+            assert sympy.expand(S(_triple_assoc_residual(prod, a, b, c)) - assoc) == 0
+            jac = (P(tb, sa, P(tb, sb, sc, Ms), Ls) - P(tb, P(tb, sa, sb, Ls), sc, Ls + Ms)
+                   - P(tb, sb, P(tb, sa, sc, Ls), Ms))
+            assert sympy.expand(S(_triple_jacobi_residual(br, a, b, c)) - jac) == 0
+            leib = (P(tb, sa, P(tp, sb, sc, Ms), Ls) - P(tp, P(tb, sa, sb, Ls), sc, Ls + Ms)
+                    - P(tp, sb, P(tb, sa, sc, Ls), Ms))
+            assert sympy.expand(S(_triple_leibniz_residual(prod, br, a, b, c)) - leib) == 0
+            dagger = -Ls - sympy.Symbol("D")
+            for sign in (1, -1):
+                comm = P(tp, sa, sb, Ls) - sign * P(tp, sb, sa, dagger)
+                assert sympy.expand(S(_pair_comm_residual(prod, sign, a, b)) - comm) == 0
