@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from operator import add
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .symcore import (
@@ -23,6 +24,9 @@ from .symcore import (
     GenIndex,
     LambdaPoly,
     ModElement,
+    _dshift,
+    _merge,
+    form_power,
     shifted_action,
 )
 
@@ -200,25 +204,48 @@ def pair(rule: StructureRule, U: LambdaPoly, W: LambdaPoly, var: str) -> LambdaP
     """
     if U.context != W.context:
         raise ValueError(f"pairing context mismatch: {U.context} vs {W.context}")
-    out_ctx = U.context + (var,)
-    vpos = len(out_ctx) - 1
-    acc = Accumulator(out_ctx)
-    positions = [vpos]
-    terms_w = W.flat()
-    for eU, g1, pw1, c1 in U.flat():
-        sign = c1 if pw1 % 2 == 0 else -c1
-        for eW, g2, pw2, c2 in terms_w:
-            val = rule.shifted_entry(g1, g2, pw2)
-            mono = tuple(a + b for a, b in zip(eU, eW)) + (pw1,)
-            acc.add_lp(val, sign * c2, mono, positions=positions)
-    return acc.build()
+    if len(U.data.get((), ())) == 1 == len(W.data.get((), ())):
+        [((g1, p), c1)], [((g2, q), c2)] = U.data[()].items(), W.data[()].items()
+        if p == 0 and c1 == 1 == c2:  # g1 op (D^q g2): the cached entry itself
+            return rule.shifted_entry(g1, g2, q).rename_context((var,))
+    return pair_at(rule, U, W, ({var: 1}, 0), U.context + (var,))
 
 
 def pair_at(rule: StructureRule, U: LambdaPoly, W: LambdaPoly,
             form: tuple[dict[str, int], int], ctx: tuple[str, ...]) -> LambdaPoly:
     """U op_f W at a linear form f = ({v: c_v}, d), read as in subst_many,
-    in the variables of ctx; ctx holds U's context and is the result's."""
-    return pair(rule, U, W, "·f").align(ctx + ("·f",)).subst_many({"·f": form})
+    in the variables of ctx; ctx holds U's and W's contexts and is the
+    result's."""
+    acc = Accumulator(ctx)
+    _pair_into(acc, rule, U, W, form)
+    return acc.build()
+
+
+def _pair_into(acc: Accumulator, rule: StructureRule, U: LambdaPoly, W: LambdaPoly,
+               form: tuple[dict[str, int], int], scale=1) -> None:
+    """acc += scale * (U op_f W), f = ({v: c_v}, d) in acc's variables, which
+    hold U's and W's: terms c1*D^p g1 of U and c2*D^q g2 of W add (-1)^p c1 c2
+    f^(p+k) times slot k of (D+v)^q rule(g1, g2).  Substitution is a ring map
+    and D commutes with the variables, so this is pairing in a fresh
+    variable, then substituting f for it."""
+    ctx = acc.context
+    powers = {0: form_power(ctx, form, 0)}
+    us = [(e, g, p, scale * c if p % 2 == 0 else -scale * c)
+          for e, g, p, c in U.align(ctx).flat()]
+    ws = W.align(ctx).flat()
+    data = acc.data
+    for eu, g1, p, c1 in us:
+        for ew, g2, q, c2 in ws:
+            mono = tuple(map(add, eu, ew))
+            plain = not any(mono)
+            c12 = c1 * c2
+            for (k,), b in rule.shifted_entry(g1, g2, q).data.items():
+                got = powers.get(k + p)
+                if got is None:
+                    got = powers[k + p] = form_power(ctx, form, k + p)
+                for c, inc, kd in got:
+                    _merge(data, inc if plain else tuple(map(add, mono, inc)),
+                           _dshift(b, kd), c12 * c)
 
 
 def const_lp(e: ModElement, context: tuple[str, ...] = ()) -> LambdaPoly:
@@ -230,24 +257,24 @@ def eval_op(rule: StructureRule, a: ModElement, b: ModElement, var: str = L) -> 
     return pair(rule, const_lp(a), const_lp(b), var)
 
 
-# The three terms every associator-type identity is a signed sum of, in the
-# context (L, M).  Each takes the value of the inner operation, so that
-# dagger-paired inner values fit as well as plain ones.
+# The three terms every associator-type identity is a signed sum of, each
+# added with a sign into the residual's accumulator in the context (L, M).  Each
+# takes the inner operation's value, so dagger-paired inner values fit too.
 
-def inner_first(rule: StructureRule, X: LambdaPoly, V: LambdaPoly) -> LambdaPoly:
+def inner_first(acc: Accumulator, rule: StructureRule, X: LambdaPoly, V: LambdaPoly, sign=1):
     """{X_L V} for an inner value V = {Y_M Z} in context (M,)."""
-    return pair(rule, X.align((M,)), V, L).align((L, M))
+    _pair_into(acc, rule, X, V, ({L: 1}, 0), sign)
 
 
-def outer_first(rule: StructureRule, V: LambdaPoly, Z: LambdaPoly) -> LambdaPoly:
+def outer_first(acc: Accumulator, rule: StructureRule, V: LambdaPoly, Z: LambdaPoly, sign=1):
     """{V_{L+M} Z} for an inner value V = {X_L Y} in context (L,); a value in
     (M,), such as a dagger pairing, is taken the same way."""
-    return pair_at(rule, V, Z.align(V.context), ({L: 1, M: 1}, 0), (L, M))
+    _pair_into(acc, rule, V, Z, ({L: 1, M: 1}, 0), sign)
 
 
-def swapped(rule: StructureRule, Y: LambdaPoly, V: LambdaPoly) -> LambdaPoly:
+def swapped(acc: Accumulator, rule: StructureRule, Y: LambdaPoly, V: LambdaPoly, sign=1):
     """{Y_M V} for an inner value V = {X_L Z} in context (L,)."""
-    return pair(rule, Y.align((L,)), V, M)
+    _pair_into(acc, rule, Y, V, ({M: 1}, 0), sign)
 
 
 def stack_rows(rows: Sequence[LambdaPoly]) -> LambdaPoly:
@@ -371,27 +398,31 @@ class ConformalAlgebra:
 
 def _triple_assoc_residual(prod: StructureRule, a, b, c) -> LambdaPoly:
     A, B, C = const_lp(a), const_lp(b), const_lp(c)
-    return (inner_first(prod, A, pair(prod, B, C, M))
-            - outer_first(prod, pair(prod, A, B, L), C))
+    acc = Accumulator((L, M))
+    inner_first(acc, prod, A, pair(prod, B, C, M))
+    outer_first(acc, prod, pair(prod, A, B, L), C, -1)
+    return acc.build()
 
 
 def _pair_comm_residual(prod: StructureRule, sign: int, a, b) -> LambdaPoly:
     A, B = const_lp(a), const_lp(b)
-    return pair(prod, A, B, L) - pair_at(prod, B, A, ({L: -1}, -1), (L,)).scale(sign)
+    acc = Accumulator((L,))
+    _pair_into(acc, prod, A, B, ({L: 1}, 0))
+    _pair_into(acc, prod, B, A, ({L: -1}, -1), -sign)
+    return acc.build()
 
 
 def _triple_jacobi_residual(br: StructureRule, a, b, c) -> LambdaPoly:
-    A, B, C = const_lp(a), const_lp(b), const_lp(c)
-    return (inner_first(br, A, pair(br, B, C, M))
-            - outer_first(br, pair(br, A, B, L), C)
-            - swapped(br, B, pair(br, A, C, L)))
+    return _triple_leibniz_residual(br, br, a, b, c)
 
 
 def _triple_leibniz_residual(prod: StructureRule, br: StructureRule, a, b, c) -> LambdaPoly:
     A, B, C = const_lp(a), const_lp(b), const_lp(c)
-    return (inner_first(br, A, pair(prod, B, C, M))
-            - outer_first(prod, pair(br, A, B, L), C)
-            - swapped(prod, B, pair(br, A, C, L)))
+    acc = Accumulator((L, M))
+    inner_first(acc, br, A, pair(prod, B, C, M))
+    outer_first(acc, prod, pair(br, A, B, L), C, -1)
+    swapped(acc, prod, B, pair(br, A, C, L), -1)
+    return acc.build()
 
 
 def _mods(gens: list[GenIndex]) -> list[ModElement]:

@@ -38,6 +38,7 @@ from .algebra import (
     StructureRule,
     UnboundedAnsatz,
     WindowEscape,
+    _pair_into,
     _run_tuple_checks,
     const_lp,
     pair,
@@ -253,7 +254,7 @@ def d_h(P: ConformalAlgebra, V: ConformalModule, gamma: Cochain) -> Cochain:
 
         # a1 o_(mu1) gamma(x's; a2..a_{n+1})
         inner = eval_cochain(gamma, _gen_args(xs + asr[1:]), xvars + avars[1:])
-        out.add(pair(V.left, const_lp(ModElement.of(asr[0]), inner.context), inner, avars[0]))
+        _pair_into(out, V.left, const_lp(ModElement.of(asr[0])), inner, ({avars[0]: 1}, 0))
 
         # merged products a_i a_{i+1} (items m+i-1, m+i), sign (-1)^i
         for i in range(1, n + 1):
@@ -264,9 +265,8 @@ def d_h(P: ConformalAlgebra, V: ConformalModule, gamma: Cochain) -> Cochain:
 
         # gamma(x's; a1..a_n) o_(flat) a_{n+1}, sign (-1)^{n+1}
         w = eval_cochain(gamma, _gen_args(xs + asr[:n]), xvars + avars[:n - 1])
-        t3 = pair_at(V.right, w, const_lp(ModElement.of(asr[n]), w.context),
-                     ({v: 1 for v in out_vars}, 0), out_vars)
-        out.add(t3, (-1) ** (n + 1))
+        _pair_into(out, V.right, w, const_lp(ModElement.of(asr[n])),
+                   ({v: 1 for v in out_vars}, 0), (-1) ** (n + 1))
         return out.build()
 
     return Cochain(m, n + 1, value)
@@ -290,9 +290,8 @@ def _d_ce_lie(P: ConformalAlgebra, V: ConformalModule, gamma: Cochain) -> Cochai
             rest = gens[:i - 1] + gens[i:k] + (gens[k],)
             svars = [out_vars[j] for j in range(k) if j != i - 1][: k - 1]
             inner = eval_cochain(gamma, _gen_args(rest), svars)
-            t = pair(V.lie, const_lp(ModElement.of(gens[i - 1]), inner.context), inner,
-                     out_vars[i - 1])
-            out.add(t, (-1) ** (i + 1))
+            _pair_into(out, V.lie, const_lp(ModElement.of(gens[i - 1])), inner,
+                       ({out_vars[i - 1]: 1}, 0), (-1) ** (i + 1))
 
         # gamma(.. hat i .. hat j .., a_{k+1} at dagger, [a_i a_j])
         for i in range(1, k + 1):
@@ -303,9 +302,8 @@ def _d_ce_lie(P: ConformalAlgebra, V: ConformalModule, gamma: Cochain) -> Cochai
 
         # a_{k+1} at dagger acting on gamma(a_1..a_k)
         inner = eval_cochain(gamma, _gen_args(gens[:k]), out_vars[:k - 1])
-        t = pair_at(V.lie, const_lp(ModElement.of(gens[k]), inner.context), inner,
-                    ({u: -1 for u in out_vars}, -1), out_vars)
-        out.add(t, (-1) ** k)
+        _pair_into(out, V.lie, const_lp(ModElement.of(gens[k])), inner,
+                   ({u: -1 for u in out_vars}, -1), (-1) ** k)
 
         # gamma(.. hat i .., [a_i a_{k+1}])
         for i in range(1, k + 1):
@@ -336,9 +334,8 @@ def _d_ce_mixed(P: ConformalAlgebra, V: ConformalModule, gamma: Cochain) -> Coch
 
             # x_i acting on the value with x_i omitted
             inner = eval_cochain(gamma, _gen_args(rest + asr), rest_vars + list(avars))
-            t = pair(V.lie, const_lp(ModElement.of(xs[i - 1]), inner.context), inner,
-                     xvars[i - 1])
-            out.add(t, sign_i)
+            _pair_into(out, V.lie, const_lp(ModElement.of(xs[i - 1])), inner,
+                       ({xvars[i - 1]: 1}, 0), sign_i)
 
             # bracket of x_i into each product-type slot (a_j is item m+j)
             for j in range(1, n + 1):
@@ -439,7 +436,7 @@ def hochschild_action_value(P: ConformalAlgebra, V: ConformalModule, gamma: Coch
 
     inner = eval_cochain(gamma, _gen_args(gens, c0), base)
     acc = Accumulator(full)
-    acc.add(pair(V.lie, x_lp.align(inner.context), inner, var))
+    _pair_into(acc, V.lie, x_lp, inner, ({var: 1}, 0))
 
     # x paired into each slot: x is item 0, a_i item i
     items, ivars = [x_lp] + _gen_args(gens, c0), (var,) + base + (None,)

@@ -26,6 +26,7 @@ from .algebra import (
     PreconditionFailed,
     StructureRule,
     _pair_comm_residual,
+    _pair_into,
     _triple_assoc_residual,
     _triple_jacobi_residual,
     _triple_leibniz_residual,
@@ -41,7 +42,7 @@ from .algebra import (
     swapped,
     window_generators,
 )
-from .symcore import GenIndex, LambdaPoly, ModElement
+from .symcore import Accumulator, GenIndex, LambdaPoly, ModElement
 
 OrdRule = Callable[[GenIndex, GenIndex], ModElement | None]
 
@@ -130,16 +131,20 @@ def check_gd(ord_: OrdinaryAlgebra, window: int = 3) -> list[CheckReport]:
 
     def right_commute(a, b, c):  # (a * b) * c = (a * c) * b
         A, B, C = const_lp(a), const_lp(b), const_lp(c)
-        return (outer_first(star, pair(star, A, B, L), C)
-                - outer_first(star, pair(star, A, C, L), B))
+        acc = Accumulator((L, M))
+        outer_first(acc, star, pair(star, A, B, L), C)
+        outer_first(acc, star, pair(star, A, C, L), B, -1)
+        return acc.build()
 
     def gd(a, b, c):  # [a * b, c] + [a, b] * c = a * [b, c] + [a * c, b] + [a, c] * b
         A, B, C = const_lp(a), const_lp(b), const_lp(c)
-        return (outer_first(br, pair(star, A, B, L), C)
-                + outer_first(star, pair(br, A, B, L), C)
-                - inner_first(star, A, pair(br, B, C, M))
-                - outer_first(br, pair(star, A, C, L), B)
-                - outer_first(star, pair(br, A, C, L), B))
+        acc = Accumulator((L, M))
+        outer_first(acc, br, pair(star, A, B, L), C)
+        outer_first(acc, star, pair(br, A, B, L), C)
+        inner_first(acc, star, A, pair(br, B, C, M), -1)
+        outer_first(acc, br, pair(star, A, C, L), B, -1)
+        outer_first(acc, star, pair(br, A, C, L), B, -1)
+        return acc.build()
 
     return _sweep(ord_, window, [
         ("novikov_right_commute", 3, right_commute),
@@ -158,9 +163,12 @@ def check_pgd(ord_: OrdinaryAlgebra, window: int = 3, commutative: bool = True) 
     def right_compat(a, b, c):
         # both equalities of (b o c) * a = b o (c * a) = (b * a) o c, as rows
         A, B, C = const_lp(a), const_lp(b), const_lp(c)
-        lhs = outer_first(star, pair(prod, B, C, L), A)
-        return stack_rows([lhs - inner_first(prod, B, pair(star, C, A, M)),
-                           lhs - outer_first(prod, pair(star, B, A, L), C)])
+        rows = [Accumulator((L, M)), Accumulator((L, M))]
+        for acc in rows:
+            outer_first(acc, star, pair(prod, B, C, L), A)
+        inner_first(rows[0], prod, B, pair(star, C, A, M), -1)
+        outer_first(rows[1], prod, pair(star, B, A, L), C, -1)
+        return stack_rows([acc.build() for acc in rows])
 
     return check_gd(ord_, window) + check_ordinary_poisson(ord_, window, commutative) + _sweep(
         ord_, window, [
@@ -174,9 +182,11 @@ def check_derivation(ord_: OrdinaryAlgebra, D: LinearRule, window: int = 3) -> l
     def on(rule):  # D(a op b) = D(a) op b + a op D(b)
         def residual(a, b):
             A, B = const_lp(a), const_lp(b)
-            return (D.apply_lp(pair(rule, A, B, L))
-                    - pair(rule, const_lp(_d_free(D.apply(a))), B, L)
-                    - pair(rule, A, const_lp(_d_free(D.apply(b))), L))
+            acc = Accumulator((L,))
+            acc.add_lp(D.apply_lp(pair(rule, A, B, L)))
+            _pair_into(acc, rule, const_lp(_d_free(D.apply(a))), B, ({L: 1}, 0), -1)
+            _pair_into(acc, rule, A, const_lp(_d_free(D.apply(b))), ({L: 1}, 0), -1)
+            return acc.build()
         return residual
 
     checks = [(f"derivation_on_{kind}", 2, on(_lift(rule, kind)))
@@ -325,11 +335,6 @@ def adjoint_module(alg: ConformalAlgebra) -> ConformalModule:
     )
 
 
-def _dagger_pair(rule: StructureRule, U: LambdaPoly, W: LambdaPoly, out_var: str) -> LambdaPoly:
-    """U op_{-out_var - D} W: the pairing at the dagger form of out_var."""
-    return pair_at(rule, U, W, ({out_var: -1}, -1), U.context + (out_var,))
-
-
 def check_module(alg: ConformalAlgebra, mod: ConformalModule, window: int = 3) -> list[CheckReport]:
     """Verify the module axiom set matching the declared kind on the window."""
     agens = [ModElement.of(g) for g in alg.generators(window)]
@@ -339,36 +344,30 @@ def check_module(alg: ConformalAlgebra, mod: ConformalModule, window: int = 3) -
     if mod.kind in (ASSOC_MODULE, POISSON_MODULE):
         prod, lft, rgt = alg.product, mod.left, mod.right
 
-        def assoc_left(a, b, v):
-            A, B, V = const_lp(a), const_lp(b), const_lp(v)
-            return (outer_first(lft, pair(prod, A, B, L), V)
-                    - inner_first(lft, A, pair(lft, B, V, M)))
+        def assoc(r_ab, r_out, r_bc, r_in):
+            def residual(a, b, c):  # {a_L b}_{L+M} c - a_L {b_M c}
+                A, B, C = const_lp(a), const_lp(b), const_lp(c)
+                acc = Accumulator((L, M))
+                outer_first(acc, r_out, pair(r_ab, A, B, L), C)
+                inner_first(acc, r_in, A, pair(r_bc, B, C, M), -1)
+                return acc.build()
+            return residual
 
-        def assoc_right(v, b, a):
-            V, B, A = const_lp(v), const_lp(b), const_lp(a)
-            return (outer_first(rgt, pair(rgt, V, B, L), A)
-                    - inner_first(rgt, V, pair(prod, B, A, M)))
-
-        def assoc_mixed(a, v, b):
-            A, V, B = const_lp(a), const_lp(v), const_lp(b)
-            return (outer_first(rgt, pair(lft, A, V, L), B)
-                    - inner_first(lft, A, pair(rgt, V, B, M)))
-
-        reports.append(run_tuple_check(
-            "module_assoc_left", itertools.product(agens, agens, vgens), assoc_left))
-        reports.append(run_tuple_check(
-            "module_assoc_right", itertools.product(vgens, agens, agens), assoc_right))
-        reports.append(run_tuple_check(
-            "module_assoc_mixed", itertools.product(agens, vgens, agens), assoc_mixed))
+        for name, sets, rules in (("module_assoc_left", (agens, agens, vgens), (prod, lft, lft, lft)),
+                                  ("module_assoc_right", (vgens, agens, agens), (rgt, rgt, prod, rgt)),
+                                  ("module_assoc_mixed", (agens, vgens, agens), (lft, rgt, rgt, lft))):
+            reports.append(run_tuple_check(name, itertools.product(*sets), assoc(*rules)))
 
     if mod.kind in (LIE_MODULE, POISSON_MODULE):
         br, lie = alg.bracket, mod.lie
 
         def lie_axiom(a, b, v):
             A, B, V = const_lp(a), const_lp(b), const_lp(v)
-            return (outer_first(lie, pair(br, A, B, L), V)
-                    - inner_first(lie, A, pair(lie, B, V, M))
-                    + swapped(lie, B, pair(lie, A, V, L)))
+            acc = Accumulator((L, M))
+            outer_first(acc, lie, pair(br, A, B, L), V)
+            inner_first(acc, lie, A, pair(lie, B, V, M), -1)
+            swapped(acc, lie, B, pair(lie, A, V, L))
+            return acc.build()
 
         reports.append(run_tuple_check(
             "module_lie", itertools.product(agens, agens, vgens), lie_axiom))
@@ -380,23 +379,29 @@ def check_module(alg: ConformalAlgebra, mod: ConformalModule, window: int = 3) -
         def poisson1(a, b, v):
             # [a_L b] o_{L+M} v = a_L (b o_M v) - b o_M (a_L v)
             A, B, V = const_lp(a), const_lp(b), const_lp(v)
-            return (outer_first(lft, pair(br, A, B, L), V)
-                    - inner_first(lie, A, pair(lft, B, V, M))
-                    + swapped(lft, B, pair(lie, A, V, L)))
+            acc = Accumulator((L, M))
+            outer_first(acc, lft, pair(br, A, B, L), V)
+            inner_first(acc, lie, A, pair(lft, B, V, M), -1)
+            swapped(acc, lft, B, pair(lie, A, V, L))
+            return acc.build()
 
         def poisson2(v, a, b):
             # v o_M [a_L b] = a_L (v o_M b) - (a_L v) o_{L+M} b
             V, A, B = const_lp(v), const_lp(a), const_lp(b)
-            return (swapped(rgt, V, pair(br, A, B, L))
-                    - inner_first(lie, A, pair(rgt, V, B, M))
-                    + outer_first(rgt, pair(lie, A, V, L), B))
+            acc = Accumulator((L, M))
+            swapped(acc, rgt, V, pair(br, A, B, L))
+            inner_first(acc, lie, A, pair(rgt, V, B, M), -1)
+            outer_first(acc, rgt, pair(lie, A, V, L), B)
+            return acc.build()
 
         def poisson3(a, b, v):
             # (a o_L b)_{-M-D} v = a o_L (b_{-M-D} v) + (a_{-M-D} v) o_{L+M} b
             A, B, V = const_lp(a), const_lp(b), const_lp(v)
-            lhs = _dagger_pair(lie, pair(prod, A, B, L), V.align((L,)), M)
-            return (lhs - inner_first(lft, A, _dagger_pair(lie, B, V, M))
-                    - outer_first(rgt, _dagger_pair(lie, A, V, M), B))
+            acc = Accumulator((L, M))
+            _pair_into(acc, lie, pair(prod, A, B, L), V, ({M: -1}, -1))
+            inner_first(acc, lft, A, pair_at(lie, B, V, ({M: -1}, -1), (M,)), -1)
+            outer_first(acc, rgt, pair_at(lie, A, V, ({M: -1}, -1), (M,)), B, -1)
+            return acc.build()
 
         reports.append(run_tuple_check(
             "module_poisson_bracket_left", itertools.product(agens, agens, vgens), poisson1))

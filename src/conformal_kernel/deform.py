@@ -56,7 +56,7 @@ from .cohomology import (
     zero_cochain,
 )
 from .constructors import ConformalModule
-from .symcore import GenIndex, LambdaPoly, ModElement
+from .symcore import Accumulator, GenIndex, LambdaPoly, ModElement
 
 L, M = "L", "M"
 
@@ -141,12 +141,11 @@ class DeformationSeries:
 def _convolution_residual(ds: DeformationSeries, n: int, a, b, c) -> LambdaPoly:
     """sum_{r+s=n} {a_L {b_M c}_{mu_s}}_{mu_r} - {{a_L b}_{mu_s}_{L+M} c}_{mu_r}."""
     A, B, C = const_lp(a), const_lp(b), const_lp(c)
-    out = LambdaPoly.zero((L, M))
+    acc = Accumulator((L, M))
     for r in range(n + 1):
-        s = n - r
-        out = (out + inner_first(ds.mu(r), A, pair(ds.mu(s), B, C, M))
-               - outer_first(ds.mu(r), pair(ds.mu(s), A, B, L), C))
-    return out
+        inner_first(acc, ds.mu(r), A, pair(ds.mu(n - r), B, C, M))
+        outer_first(acc, ds.mu(r), pair(ds.mu(n - r), A, B, L), C, -1)
+    return acc.build()
 
 
 def _hbar_associativity(ds: DeformationSeries, window: int) -> CheckReport:
@@ -247,12 +246,11 @@ def obstruction(ds: DeformationSeries, precheck_window: int | None = None) -> Co
 
     def value(gens):
         A, B, C = (const_lp(ModElement.of(g)) for g in gens)
-        out = LambdaPoly.zero((L, M))
+        acc = Accumulator((L, M))
         for r in range(1, n + 1):
-            s = n + 1 - r
-            out = (out + outer_first(ds.mu(r), pair(ds.mu(s), A, B, L), C)
-                   - inner_first(ds.mu(r), A, pair(ds.mu(s), B, C, M)))
-        return out.rename_context(ctx)
+            outer_first(acc, ds.mu(r), pair(ds.mu(n + 1 - r), A, B, L), C)
+            inner_first(acc, ds.mu(r), A, pair(ds.mu(n + 1 - r), B, C, M), -1)
+        return acc.build().rename_context(ctx)
 
     return Cochain(0, 3, value)
 
@@ -419,30 +417,36 @@ def linear_deformation_check(P: ConformalAlgebra, varpi: StructureRule,
     def cross1(a, b, c):
         # Hochschild condition of varpi over the base product
         A, B, C = const_lp(a), const_lp(b), const_lp(c)
-        return (inner_first(varpi, A, pair(prod, B, C, M))
-                + inner_first(prod, A, pair(varpi, B, C, M))
-                - outer_first(varpi, pair(prod, A, B, L), C)
-                - outer_first(prod, pair(varpi, A, B, L), C))
+        acc = Accumulator((L, M))
+        inner_first(acc, varpi, A, pair(prod, B, C, M))
+        inner_first(acc, prod, A, pair(varpi, B, C, M))
+        outer_first(acc, varpi, pair(prod, A, B, L), C, -1)
+        outer_first(acc, prod, pair(varpi, A, B, L), C, -1)
+        return acc.build()
 
     def cross2(a, b, c):
         # Chevalley-Eilenberg condition of omega over the base bracket
         A, B, C = const_lp(a), const_lp(b), const_lp(c)
-        return (outer_first(omega, pair(br, A, B, L), C)
-                - inner_first(omega, A, pair(br, B, C, M))
-                + swapped(omega, B, pair(br, A, C, L))
-                - inner_first(br, A, pair(omega, B, C, M))
-                + outer_first(br, pair(omega, A, B, L), C)
-                + swapped(br, B, pair(omega, A, C, L)))
+        acc = Accumulator((L, M))
+        outer_first(acc, omega, pair(br, A, B, L), C)
+        inner_first(acc, omega, A, pair(br, B, C, M), -1)
+        swapped(acc, omega, B, pair(br, A, C, L))
+        inner_first(acc, br, A, pair(omega, B, C, M), -1)
+        outer_first(acc, br, pair(omega, A, B, L), C)
+        swapped(acc, br, B, pair(omega, A, C, L))
+        return acc.build()
 
     def cross3(a, b, c):
         # mixed condition linking varpi and omega
         A, B, C = const_lp(a), const_lp(b), const_lp(c)
-        return (inner_first(br, A, pair(varpi, B, C, M))
-                - outer_first(varpi, pair(br, A, B, L), C)
-                - swapped(varpi, B, pair(br, A, C, L))
-                - outer_first(prod, pair(omega, A, B, L), C)
-                - swapped(prod, B, pair(omega, A, C, L))
-                + inner_first(omega, A, pair(prod, B, C, M)))
+        acc = Accumulator((L, M))
+        inner_first(acc, br, A, pair(varpi, B, C, M))
+        outer_first(acc, varpi, pair(br, A, B, L), C, -1)
+        swapped(acc, varpi, B, pair(br, A, C, L), -1)
+        outer_first(acc, prod, pair(omega, A, B, L), C, -1)
+        swapped(acc, prod, B, pair(omega, A, C, L), -1)
+        inner_first(acc, omega, A, pair(prod, B, C, M))
+        return acc.build()
 
     triples = list(itertools.product(gens, repeat=3))
     reports.append(run_tuple_check("cross_product_cocycle", triples, cross1))

@@ -8,23 +8,20 @@ never stored, so structural equality is semantic equality.  All arithmetic
 is exact: scalars are ints where integral and ``fractions.Fraction``
 otherwise; there are no floats anywhere.
 
-The substitution calculus that the rest of the engine is built on lives here
-as well.  Its general form is ``LambdaPoly.subst_many``: replace several
-spectral variables at once by linear forms ``sum(c_u * u) + d * D`` in the
-remaining variables, each D-power acting on the module coefficient from the
-left.  Its special cases are
-
-* ``subst_linear``  -- one variable,
-* ``subst_sum``     -- replace a spectral variable by a sum of variables
-                       (the ``lambda+mu`` shifts),
-* ``subst_dagger``  -- replace a spectral variable by ``-(sum of vars) - D``
-                       (the dagger substitution).
+The substitution calculus lives here as well.  Its general form is
+``LambdaPoly.subst_many``: replace several spectral variables at once by
+linear forms ``sum(c_u * u) + d * D`` in the remaining variables, each
+D-power acting on the module coefficient from the left.  Its special cases
+are ``subst_linear`` (one variable) and ``subst_dagger`` (a variable by
+``-(sum of vars) - D``).  Pairing at a linear form (``algebra.pair_at``)
+is not on that path: it expands the form's powers in place (``form_power``,
+cached per form and power) straight into an ``Accumulator``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 from operator import add
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -294,12 +291,6 @@ class LambdaPoly:
         return LambdaPoly(self.context, {e: {gk: qify(c * v) for gk, v in b.items()}
                                          for e, b in self.data.items()})
 
-    def dmul(self, dp: DPoly) -> "LambdaPoly":
-        acc = Accumulator(self.context)
-        for j, d in dp:
-            acc.add_lp(self, d, dshift=j)
-        return acc.build()
-
     def mul_var(self, name: str, power: int = 1) -> "LambdaPoly":
         i = self.context.index(name)
         if not power:
@@ -378,13 +369,6 @@ class LambdaPoly:
         """Replace ``var`` by the linear form ``sum(c_v * v) + d_coeff * D``;
         the one-variable case of ``subst_many``."""
         return self.subst_many({var: (var_coeffs, d_coeff)})
-
-    def subst_sum(self, targets: tuple[str, ...]) -> "LambdaPoly":
-        """Single-variable polynomial: nu^k -> (sum targets)^k."""
-        (nu,) = self.context
-        if not targets:
-            raise ValueError("subst_sum requires a nonempty target list")
-        return self.align((nu,) + tuple(targets)).subst_linear(nu, {t: ONE for t in targets})
 
     def subst_dagger(self, minus_vars: tuple[str, ...]) -> "LambdaPoly":
         """Single-variable polynomial: nu^k -> (-(sum minus_vars) - D)^k."""
@@ -522,6 +506,28 @@ def _multinomial_expansion(k: int, parts: int) -> list[tuple[int, tuple[int, ...
     return got
 
 
+_FORM_POWERS: dict[tuple, list[tuple[Q, tuple[int, ...], int]]] = {}
+
+
+def form_power(context: tuple[str, ...], form: tuple[dict[str, Q], Q],
+               n: int) -> list[tuple[Q, tuple[int, ...], int]]:
+    """f^n for a linear form f = ({v: c_v}, d) over `context`, read as
+    sum(c_v * v) + d * D: cached [(scalar, exponent vector, D-power)]."""
+    key = (context, tuple(form[0].items()), form[1], n)
+    got = _FORM_POWERS.get(key)
+    if got is None:
+        pos = _positions(tuple(form[0]), context)
+        cs = list(form[0].values()) + [form[1]]
+        got = []
+        for mult, split in _multinomial_expansion(n, len(cs)):
+            mult *= prod(c ** k for c, k in zip(cs, split))
+            if mult:
+                exp = tuple(split[pos.index(i)] if i in pos else 0 for i in range(len(context)))
+                got.append((qify(mult), exp, split[-1]))
+        _FORM_POWERS[key] = got
+    return got
+
+
 class Accumulator:
     """Mutable builder of a LambdaPoly in its stored form; zero scalars may
     collect until ``build`` drops them."""
@@ -562,14 +568,6 @@ class Accumulator:
         return _clean(self.context, self.data.items())
 
 
-def assemble_from_nth(context_var: str, pairs: Iterable[tuple[int, ModElement]]) -> LambdaPoly:
-    """Inverse of extract_nth: sum_n (nu^n / n!) * a_(n)b."""
-    out = LambdaPoly.zero((context_var,))
-    for n, m in pairs:
-        out = out + LambdaPoly.of((context_var,), m.scale(Q(1, factorial(n))), (n,))
-    return out
-
-
 def shifted_action(value: LambdaPoly, var: str, power: int) -> LambdaPoly:
     """Apply the operator (D + var)^power to a LambdaPoly containing `var`.
 
@@ -583,11 +581,6 @@ def multi_shifted_action(value: LambdaPoly, vars: tuple[str, ...], power: int) -
     if power == 0:
         return value
     acc = Accumulator(value.context)
-    idx = _positions(vars, value.context)
-    for mult, split in _multinomial_expansion(power, len(vars) + 1):
-        kd = split[-1]
-        exp = [0] * len(value.context)
-        for pos, kv in zip(idx, split):
-            exp[pos] = kv
-        acc.add_lp(value, mult, tuple(exp), dshift=kd)
+    for c, exp, kd in form_power(value.context, ({v: 1 for v in vars}, 1), power):
+        acc.add_lp(value, c, exp, dshift=kd)
     return acc.build()

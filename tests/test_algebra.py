@@ -22,6 +22,7 @@ from conformal_kernel.algebra import (
     eval_op,
     nth_product_table,
     pair,
+    pair_at,
     suite_passes,
 )
 from conformal_kernel.symcore import DPoly, GenIndex, LambdaPoly, ModElement, gen
@@ -258,3 +259,42 @@ class TestWindowEscape:
         assert type(back) is WindowEscape
         assert back.what == e.what
         assert str(back) == str(e) == "outside rule window: ('product', x[3], x[1])"
+
+
+class TestPairingKernel:
+    def test_axiom_sweep_pairs_without_substituting(self, monkeypatch):
+        # each residual sums its pairings into one accumulator, expanding
+        # the linear forms in place: no subst_many, about one build a tuple
+        import os
+
+        from conformal_kernel.manifest import parse_file
+        from conformal_kernel.symcore import Accumulator
+
+        alg = parse_file(os.path.join(os.path.dirname(__file__), "..", "demos", "ex2_17.alg")).algebra()
+        calls = {"subst_many": 0, "build": 0}
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(LambdaPoly, "subst_many", counting("subst_many", LambdaPoly.subst_many))
+        monkeypatch.setattr(Accumulator, "build", counting("build", Accumulator.build))
+        reports = check_poisson(alg, window=2)
+        checked = sum(r.checked for r in reports)
+        assert suite_passes(reports) and checked > 0
+        assert calls["subst_many"] == 0
+        assert calls["build"] <= 2 * checked, (calls, checked)
+
+    def test_pair_at_names_a_missing_form_variable(self):
+        alg = poly_poisson()
+        U, W = (LambdaPoly.of(("a",), ModElement.of(xg(1))) for _ in range(2))
+        with pytest.raises(ValueError, match="variable zz missing"):
+            pair_at(alg.product, U, W, ({"zz": 1}, 0), ("a", "L"))
+
+    def test_pair_at_names_a_context_variable_outside_ctx(self):
+        alg = poly_poisson()
+        U, W = (LambdaPoly.of(("a",), ModElement.of(xg(1))) for _ in range(2))
+        with pytest.raises(ValueError, match="variable a missing"):
+            pair_at(alg.product, U, W, ({"L": 1}, 0), ("L",))

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as Q
+from math import factorial
 
 import pytest
 
@@ -9,7 +10,6 @@ from conformal_kernel.symcore import (
     GenIndex,
     LambdaPoly,
     ModElement,
-    assemble_from_nth,
     d_apply,
     gen,
     gen_binom,
@@ -63,16 +63,24 @@ class TestDApply:
         assert d_apply(e, 1) == want
 
 
+def subst_sum(p, targets):
+    """nu^k -> (sum of targets)^k for p in the single variable nu."""
+    (nu,) = p.context
+    return p.align((nu,) + tuple(targets)).subst_linear(nu, {t: 1 for t in targets})
+
+
 class TestSubstSum:
+    """The lambda+mu shifts, through align and subst_linear."""
+
     def test_linear(self):
         p = lp(("nu",), ((1,), ModElement.of(E1)))
-        got = p.subst_sum(("lam", "mu"))
+        got = subst_sum(p, ("lam", "mu"))
         want = lp(("lam", "mu"), ((1, 0), ModElement.of(E1)), ((0, 1), ModElement.of(E1)))
         assert got == want
 
     def test_binomial(self):
         p = lp(("nu",), ((2,), ModElement.of(E1)))
-        got = p.subst_sum(("lam", "mu"))
+        got = subst_sum(p, ("lam", "mu"))
         want = lp(
             ("lam", "mu"),
             ((2, 0), ModElement.of(E1)),
@@ -83,15 +91,18 @@ class TestSubstSum:
 
     def test_degree_zero(self):
         p = lp(("nu",), ((0,), ModElement.of(E1)))
-        assert p.subst_sum(("lam",)) == lp(("lam",), ((0,), ModElement.of(E1)))
+        assert subst_sum(p, ("lam",)) == lp(("lam",), ((0,), ModElement.of(E1)))
 
     def test_composition(self):
         rng = random.Random(11)
         for _ in range(20):
             p = rand_lambda(rng, ("nu",))
-            via = p.subst_sum(("lam",)).subst_sum(("mu", "rho"))
-            direct = p.subst_sum(("mu", "rho"))
+            via = subst_sum(subst_sum(p, ("lam",)), ("mu", "rho"))
+            direct = subst_sum(p, ("mu", "rho"))
             assert via == direct
+            # the same shift as one simultaneous substitution
+            many = p.align(("nu", "mu", "rho")).subst_many({"nu": ({"mu": 1, "rho": 1}, 0)})
+            assert many == direct
 
 
 class TestSubstDagger:
@@ -144,10 +155,14 @@ class TestExtractNth:
         assert p.extract_nth() == [(3, ModElement.of(E1, DPoly.const(6)))]
 
     def test_roundtrip(self):
+        # the inverse: sum over n of (nu^n / n!) * a_(n) b
         rng = random.Random(3)
         for _ in range(25):
             p = rand_lambda(rng, ("nu",))
-            assert assemble_from_nth("nu", p.extract_nth()) == p
+            back = LambdaPoly.zero(("nu",))
+            for n, m in p.extract_nth():
+                back = back + LambdaPoly.of(("nu",), m.scale(Q(1, factorial(n))), (n,))
+            assert back == p
 
 
 class TestExactness:
@@ -206,7 +221,7 @@ class TestHelpers:
                 from math import factorial
 
                 coeff = factorial(2) // (factorial(ka) * factorial(kb) * factorial(kd))
-                t = v.dmul(DPoly.d_power(kd, coeff))
+                t = v.apply_mod(lambda m, kd=kd: m.d_apply(kd)).scale(coeff)
                 t = t.mul_var("a", ka).mul_var("b", kb) if (ka or kb) else t
                 direct = direct + t
             assert got == direct
