@@ -229,7 +229,7 @@ def _pair_into(acc: Accumulator, rule: StructureRule, U: LambdaPoly, W: LambdaPo
     and D commutes with the variables, so this is pairing in a fresh
     variable, then substituting f for it."""
     ctx = acc.context
-    powers = {0: form_power(ctx, form, 0)}
+    powers = {0: form_power(ctx, form, 0)}  # f^0, and a check of f's variables
     us = [(e, g, p, scale * c if p % 2 == 0 else -scale * c)
           for e, g, p, c in U.align(ctx).flat()]
     ws = W.align(ctx).flat()
