@@ -450,7 +450,7 @@ class TestSympyOracle:
     def test_signed_sums_of_pairings(self, sympy):
         # each residual is a signed sum of nested pairings in one value
         from conformal_kernel.algebra import (
-            L, M, _pair_comm_residual, _triple_assoc_residual, _triple_jacobi_residual,
+            _pair_comm_residual, _triple_assoc_residual, _triple_jacobi_residual,
             _triple_leibniz_residual)
 
         Ls, Ms = sympy.symbols("L M")
