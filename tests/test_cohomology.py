@@ -1,16 +1,19 @@
 import itertools
 import multiprocessing
 import os
+import random
 import threading
 
 import pytest
 
 from conformal_kernel import cohomology
 from conformal_kernel.algebra import (
+    RULE_VAR,
     ConformalAlgebra,
     GenFamily,
     LinearRule,
     PreconditionFailed,
+    StructureRule,
     WindowEscape,
     eval_op,
     pair,
@@ -49,7 +52,7 @@ from conformal_kernel.constructors import (
 from conformal_kernel.deform import obstruction, regular_bimodule
 from conformal_kernel.manifest import parse_file
 from conformal_kernel.report import render_reports
-from conformal_kernel.symcore import DPoly, GenIndex, LambdaPoly, ModElement, Q, gen
+from conformal_kernel.symcore import Accumulator, DPoly, GenIndex, LambdaPoly, ModElement, Q, gen
 
 DEMOS = os.path.join(os.path.dirname(__file__), "..", "demos")
 
@@ -449,3 +452,144 @@ class TestAnsatzColumns:
             P, adjoint_module(P), graded, AnsatzBounds(1, 1, 1),
             lambda s: list(itertools.product(P.generators(3), repeat=s))[:20])
         assert escaped > 0
+
+
+class TestSlotEvaluationOracle:
+    """Slot evaluation rebuilt in commuting symbols on seeded cochains: D
+    and the generators are sympy symbols.  A cochain value is read at its
+    slot forms f_p by replacing c_{p+1} with f_p; a D-power on a non-final
+    slot becomes (-f_p)^k and one on the final slot (D + sum of f_p)^k."""
+
+    BIDEGREES = [(0, 2), (2, 0), (0, 3), (2, 1)]
+    ITEM_GENS = tuple(xg(k) for k in range(3))
+    ALL_GENS = tuple(xg(k) for k in range(10))
+
+    @pytest.fixture
+    def sympy(self):
+        return pytest.importorskip("sympy")
+
+    @staticmethod
+    def sym(sympy, p):
+        D = sympy.Symbol("D")
+        expr = sympy.Integer(0)
+        for exp, g, k, c in p.flat():
+            mono = sympy.Rational(Q(c).numerator, Q(c).denominator) * D ** k
+            for v, e in zip(p.context, exp):
+                mono *= sympy.Symbol(v) ** e
+            expr += mono * sympy.Symbol(repr(g))
+        return sympy.expand(expr)
+
+    def small_item(self, rng, ctx):
+        """One generator with one or two D-powers up to 2, exponents up to 1."""
+        g = rng.choice(self.ITEM_GENS)
+        return LambdaPoly(ctx, {tuple(rng.randint(0, 1) for _ in ctx): {
+            (g, k): Q(rng.randint(-3, 3) or 1, rng.randint(1, 2)) for k in rng.sample(range(3), rng.randint(1, 2))}})
+
+    def rand_rule(self, rng):
+        """A bracket table on x[0..2] with values on x[0..3]."""
+        table = {}
+        for g1 in self.ITEM_GENS:
+            for g2 in self.ITEM_GENS:
+                tgt = xg(g1.params[0] + g2.params[0] - rng.randint(0, 1) if g1.params[0] + g2.params[0] else 0)
+                table[g1, g2] = LambdaPoly((RULE_VAR,), {(rng.randint(0, 1),): {(tgt, rng.randint(0, 1)): rng.choice((-2, -1, 1, 3))}})
+        return StructureRule.from_table("bracket", table), table
+
+    def sym_pair(self, sympy, table, u, w, form):
+        """u_f w: u's D becomes -f, w's D becomes D + f, the rule variable f."""
+        D, v = sympy.symbols("D " + RULE_VAR)
+        out = sympy.Integer(0)
+        for (g1, g2), val in table.items():
+            cu = u.coeff(sympy.Symbol(repr(g1))).xreplace({D: -form})
+            cw = w.coeff(sympy.Symbol(repr(g2))).xreplace({D: D + form})
+            out += cu * cw * self.sym(sympy, val).xreplace({v: form})
+        return sympy.expand(out)
+
+    def sym_eval(self, sympy, gamma, args, forms):
+        """gamma on argument expressions with non-final slot p at forms[p]."""
+        D = sympy.Symbol("D")
+        shift = D + sum(forms, sympy.Integer(0))
+        slot_syms = [sympy.Symbol(c) for c in canon_vars(gamma.slots - 1)]
+        parts = []
+        for a in args:
+            coeffs = [(g, a.coeff(sympy.Symbol(repr(g)))) for g in self.ALL_GENS]
+            parts.append([(g, c) for g, c in coeffs if c != 0])
+        out = sympy.Integer(0)
+        for combo in itertools.product(*parts):
+            val = self.sym(sympy, gamma.value(tuple(g for g, _c in combo)))
+            val = val.xreplace(dict(zip(slot_syms, forms)))
+            coeff = combo[-1][1].xreplace({D: shift})
+            for (_g, c), f in zip(combo, forms):
+                coeff *= c.xreplace({D: -f})
+            out += coeff * val
+        return sympy.expand(out)
+
+    @staticmethod
+    def layouts(s):
+        """gamma's slot layouts over s + 1 items with one pair (i, j), i < j;
+        a pair holding the final item sits in the final slot."""
+        out = []
+        for i, j in itertools.combinations(range(s + 1), 2):
+            rest = [t for t in range(s + 1) if t not in (i, j)]
+            for order in itertools.permutations(rest + [(i, j)]):
+                if j == s and order[-1] != (i, j):
+                    continue
+                out.append(list(order))
+        return out
+
+    @pytest.mark.parametrize("m, n", BIDEGREES)
+    def test_eval_pair_in_slot(self, sympy, m, n):
+        s = m + n
+        rng = random.Random(100 * m + n)
+        gamma = random_cochain(m, n, seed=61 + 7 * m + n, d_max=1, l_max=1)
+        ivars = canon_vars(s) + (None,)
+        ctx = ("a",) + canon_vars(s)
+        D = sympy.Symbol("D")
+        dagger = -sum(sympy.symbols(ivars[:-1]), sympy.Integer(0)) - D
+        all_layouts = self.layouts(s)
+        picked = rng.sample(all_layouts, 3)
+        # the dagger slot (the final item in a non-final slot), and the pair
+        # in the final slot, each at least once
+        picked += [next(lay for lay in all_layouts if s in lay[:-1]),
+                   next(lay for lay in all_layouts if isinstance(lay[-1], tuple))]
+        nonzero = 0
+        for layout in picked:
+            rule, table = self.rand_rule(rng)
+            items = [self.small_item(rng, ("a",)) for _ in range(s + 1)]
+            syms = [self.sym(sympy, it) for it in items]
+            (i, j), = [slot for slot in layout if isinstance(slot, tuple)]
+            args, forms = [], []
+            for slot in layout:
+                if slot == (i, j):
+                    args.append(self.sym_pair(sympy, table, syms[i], syms[j], sympy.Symbol(ivars[i])))
+                    forms.append(sympy.Symbol(ivars[i]) + (sympy.Symbol(ivars[j]) if ivars[j] else 0))
+                else:
+                    args.append(syms[slot])
+                    forms.append(sympy.Symbol(ivars[slot]) if ivars[slot] else dagger)
+            got = cohomology._eval_pair_in_slot(gamma, rule, items, ivars, layout, ctx)
+            assert got.context == ctx
+            want = self.sym_eval(sympy, gamma, args, forms[:-1])
+            assert sympy.expand(self.sym(sympy, got) - want) == 0, layout
+            nonzero += want != 0
+        assert nonzero >= 3
+
+    @pytest.mark.parametrize("m, n", BIDEGREES)
+    def test_symmetrize(self, sympy, m, n):
+        s = m + n
+        raw = random_cochain(0, s, seed=67 + 5 * m + n).value
+        sym_value = cohomology.symmetrize(raw, m, n)
+        base = sympy.symbols(canon_vars(s - 1))
+        dagger = -sum(base, sympy.Integer(0)) - sympy.Symbol("D")
+        nonzero = 0
+        for gens in random_gen_tuples(s, 4, seed=71 + s):
+            want = sympy.Integer(0)
+            for perm in itertools.permutations(range(m)):
+                order = list(perm) + list(range(m, s))
+                v = self.sym(sympy, raw(tuple(gens[t] for t in order)))
+                repl = {base[p]: base[order[p]] if order[p] < s - 1 else dagger for p in range(s - 1)}
+                sign = sympy.combinatorics.Permutation(list(perm)).signature() if m else 1
+                want += sign * v.xreplace(repl)
+            got = sym_value(gens)
+            assert got.context == canon_vars(s - 1)
+            assert sympy.expand(self.sym(sympy, got) - want) == 0, gens
+            nonzero += want != 0
+        assert nonzero >= 2

@@ -24,6 +24,9 @@ CASES = {
     "check_mat2": ["check", "demos/mat2.alg"],
     "coeff_ex2_17": ["coeff", "demos/ex2_17.alg", "--modes=-3..3", "--window", "4"],
     "cohomology_ex2_17": ["cohomology", "demos/ex2_17.alg", "--d2-samples", "2", "--seed", "7"],
+    # capped at max 3: most bicomplex tuples escape, and the counts are pinned
+    "cohomology_ex2_17_max3": ["cohomology", "tests/manifests/ex2_17_max3.alg",
+                               "--d2-samples", "2", "--seed", "7"],
     "deform_ex2_17_w2": ["deform", "demos/ex2_17.alg", "--window", "2"],
     # an inconsistent ansatz system: "no extension within ansatz bounds"
     "deform_ex2_17_noext_w2": ["deform", "demos/ex2_17.alg", "--window", "2",
