@@ -213,9 +213,9 @@ def pair(rule: StructureRule, U: LambdaPoly, W: LambdaPoly, var: str) -> LambdaP
 
 def pair_at(rule: StructureRule, U: LambdaPoly, W: LambdaPoly,
             form: tuple[dict[str, int], int], ctx: tuple[str, ...]) -> LambdaPoly:
-    """U op_f W at a linear form f = ({v: c_v}, d), read as in subst_many,
-    in the variables of ctx; ctx holds U's and W's contexts and is the
-    result's."""
+    """U op_f W at a linear form f = ({v: c_v}, d), read as
+    sum(c_v * v) + d * D, in the variables of ctx; ctx holds U's and W's
+    contexts and is the result's."""
     acc = Accumulator(ctx)
     _pair_into(acc, rule, U, W, form)
     return acc.build()
@@ -514,11 +514,11 @@ def commutator_bracket(alg: ConformalAlgebra) -> StructureRule:
     prod = alg.product
 
     def fn(g1, g2):
-        e12 = prod.entry(g1, g2)
-        e21 = prod.entry(g2, g1)
-        if e12 is None or e21 is None:
+        try:
+            value = _pair_comm_residual(prod, 1, ModElement.of(g1), ModElement.of(g2))
+        except WindowEscape:
             return None
-        return e12 - e21.rename_context(("·w",)).subst_dagger((RULE_VAR,))
+        return value.rename_context((RULE_VAR,))
 
     return StructureRule("bracket", fn)
 

@@ -54,16 +54,15 @@ from .symcore import (
     LambdaPoly,
     ModElement,
     Q,
+    _expand,
+    _positions,
     multi_shifted_action,
+    substitute,
 )
 
 
 def canon_vars(k: int) -> tuple[str, ...]:
     return tuple(f"c{i + 1}" for i in range(k))
-
-
-def _tmp_vars(k: int) -> tuple[str, ...]:
-    return tuple(f"·t{i + 1}" for i in range(k))
 
 
 class Cochain:
@@ -151,48 +150,52 @@ def bilinear_cochain(rule: StructureRule) -> Cochain:
 # multilinear evaluation with slot sesquilinearity
 # ---------------------------------------------------------------------------
 
-def eval_cochain(coch: Cochain, args: Sequence[LambdaPoly], slot_vars: Sequence[str]) -> LambdaPoly:
-    """Evaluate on module-valued polynomial arguments sharing one context.
+def eval_cochain(coch: Cochain, args: Sequence[LambdaPoly],
+                 forms: Sequence[tuple[dict[str, int], int]], ctx: tuple[str, ...]) -> LambdaPoly:
+    """Evaluate on module-valued polynomial arguments, with non-final slot p
+    at the linear form forms[p] over ctx.
 
-    The result lives in context ``args_context + slot_vars``.  D-powers on a
-    non-final slot i contribute (-slot_vars[i])^k; on the final slot they act
-    as (D + sum(slot_vars))^k on the value.
+    The result lives in ctx, which holds the arguments' contexts and the
+    cochain's extra variables (each stands for itself).  A D-power on
+    non-final slot p contributes (-forms[p])^k; one on the final slot acts
+    as (D + sum of the forms + sum of the extras)^k on the substituted
+    value, so at a dagger form -(sum of the others) - D it collapses.
     """
-    oc = args[0].context
-    for a in args[1:]:
-        if a.context != oc:
-            raise ValueError("eval_cochain arguments must share a context")
     s = coch.slots
-    if len(args) != s or len(slot_vars) != s - 1:
+    if len(args) != s or len(forms) != s - 1:
         raise ValueError("arity mismatch in eval_cochain")
-    svars = tuple(slot_vars) + coch.extra
-    out_ctx = oc + tuple(slot_vars) + tuple(e for e in coch.extra if e not in oc)
-    noc = len(oc)
-    positions = [out_ctx.index(nm) for nm in svars]
-    acc = Accumulator(out_ctx)
-    shifted: dict[tuple, LambdaPoly] = {}  # (gens, final-slot D-power) -> value
+    # one form per variable of coch.context, then the final slot's
+    fs = tuple(forms) + tuple(({e: 1}, 0) for e in coch.extra)
+    final: dict[str, int] = {}
+    for coeffs, _d in fs:
+        for u, c in coeffs.items():
+            final[u] = final.get(u, 0) + c
+    fs += (({u: c for u, c in final.items() if c}, 1 + sum(d for _c, d in fs)),)
+    no_extra = (0,) * len(coch.extra)
+    positions = [_positions(a.context, ctx) for a in args]
+    acc = Accumulator(ctx)
+    values: dict[tuple, Accumulator] = {}  # (gens, D-powers) -> value in ctx
     for combo in itertools.product(*[a.flat() for a in args]):
         gens = tuple(t[1] for t in combo)
-        k_last = combo[-1][2]
-        val = shifted.get((gens, k_last))
+        ks = tuple(t[2] for t in combo)
+        val = values.get((gens, ks))
         if val is None:
-            val = coch.value(gens).rename_context(svars)
-            if k_last:
-                val = multi_shifted_action(val, svars, k_last)
-            shifted[gens, k_last] = val
-        scalar = 1
-        mono = [0] * len(out_ctx)
-        for i, (exp, _g, k, c) in enumerate(combo):
+            # D^k on non-final slot p is (-f_p)^k: k more powers of f_p
+            val = values[gens, ks] = _expand(Accumulator(ctx), coch.value(gens), fs,
+                                             ks[:-1] + no_extra + ks[-1:])
+        scalar = -1 if sum(ks[:-1]) % 2 else 1
+        mono = [0] * len(ctx)
+        for (exp, _g, _k, c), pos in zip(combo, positions):
             scalar *= c
-            for pos, e in enumerate(exp):
-                mono[pos] += e
-            if k and i < s - 1:
-                if k % 2:
-                    scalar = -scalar
-                mono[noc + i] += k
-        if scalar:
-            acc.add_lp(val, scalar, tuple(mono), positions=positions)
+            for p, e in zip(pos, exp):
+                mono[p] += e
+        acc.add_lp(val, scalar, tuple(mono))
     return acc.build()
+
+
+def _plain(names: Sequence[str]) -> list[tuple[dict[str, int], int]]:
+    """Each variable as the form of itself."""
+    return [({v: 1}, 0) for v in names]
 
 
 def _gen_args(gens: Sequence[GenIndex], ctx: tuple[str, ...] = ()) -> list[LambdaPoly]:
@@ -209,26 +212,17 @@ def _eval_pair_in_slot(gamma: Cochain, rule: StructureRule, items: Sequence[Lamb
     (i, j) of the item indices that B pairs.  ``ivars[k]`` is the output
     variable of item k; the final item has none (None), so in a slot that
     carries a variable it stands for the dagger form -(sum of ivars) - D.
-    B's slot variable is ivars[i] + ivars[j] and its pair variable v is
+    B's slot form is ivars[i] + ivars[j] and its pair variable v is
     ivars[i] itself (no output variable occurs in the items' context).
-    Slot variables other than plain output variables are placeholders,
-    replaced after evaluation by one subst_many call.
     """
     (i, j), = [slot for slot in layout if isinstance(slot, tuple)]
     B = pair(rule, items[i], items[j], ivars[i])
-    args = [B if slot == (i, j) else items[slot].align(B.context) for slot in layout]
-    svars, subs = [], {}
-    for p, slot in enumerate(layout[:-1]):  # the final slot carries no variable
-        if slot == (i, j):
-            subs[f"·q{p}"] = ({ivars[i]: 1, ivars[j]: 1}, 0)
-        elif ivars[slot] is None:
-            subs[f"·q{p}"] = ({u: -1 for u in ivars if u is not None}, -1)
-        else:
-            svars.append(ivars[slot])
-            continue
-        svars.append(f"·q{p}")
-    v = eval_cochain(gamma, args, svars)
-    return v.align(tuple(subs) + ctx).subst_many(subs)
+    args = [B if slot == (i, j) else items[slot] for slot in layout]
+    dagger = ({u: -1 for u in ivars if u is not None}, -1)
+    forms = [({ivars[i]: 1, ivars[j]: 1}, 0) if slot == (i, j)
+             else dagger if ivars[slot] is None else ({ivars[slot]: 1}, 0)
+             for slot in layout[:-1]]  # the final slot carries no variable
+    return eval_cochain(gamma, args, forms, ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +247,7 @@ def d_h(P: ConformalAlgebra, V: ConformalModule, gamma: Cochain) -> Cochain:
         items, ivars = _gen_args(gens), out_vars + (None,)
 
         # a1 o_(mu1) gamma(x's; a2..a_{n+1})
-        inner = eval_cochain(gamma, _gen_args(xs + asr[1:]), xvars + avars[1:])
+        inner = eval_cochain(gamma, _gen_args(xs + asr[1:]), _plain(xvars + avars[1:]), out_vars)
         _pair_into(out, V.left, const_lp(ModElement.of(asr[0])), inner, ({avars[0]: 1}, 0))
 
         # merged products a_i a_{i+1} (items m+i-1, m+i), sign (-1)^i
@@ -264,7 +258,7 @@ def d_h(P: ConformalAlgebra, V: ConformalModule, gamma: Cochain) -> Cochain:
                     (-1) ** i)
 
         # gamma(x's; a1..a_n) o_(flat) a_{n+1}, sign (-1)^{n+1}
-        w = eval_cochain(gamma, _gen_args(xs + asr[:n]), xvars + avars[:n - 1])
+        w = eval_cochain(gamma, _gen_args(xs + asr[:n]), _plain(xvars + avars[:n - 1]), out_vars)
         _pair_into(out, V.right, w, const_lp(ModElement.of(asr[n])),
                    ({v: 1 for v in out_vars}, 0), (-1) ** (n + 1))
         return out.build()
@@ -289,7 +283,7 @@ def _d_ce_lie(P: ConformalAlgebra, V: ConformalModule, gamma: Cochain) -> Cochai
         for i in range(1, k + 1):
             rest = gens[:i - 1] + gens[i:k] + (gens[k],)
             svars = [out_vars[j] for j in range(k) if j != i - 1][: k - 1]
-            inner = eval_cochain(gamma, _gen_args(rest), svars)
+            inner = eval_cochain(gamma, _gen_args(rest), _plain(svars), out_vars)
             _pair_into(out, V.lie, const_lp(ModElement.of(gens[i - 1])), inner,
                        ({out_vars[i - 1]: 1}, 0), (-1) ** (i + 1))
 
@@ -301,7 +295,7 @@ def _d_ce_lie(P: ConformalAlgebra, V: ConformalModule, gamma: Cochain) -> Cochai
                         (-1) ** (k + i + j + 1))
 
         # a_{k+1} at dagger acting on gamma(a_1..a_k)
-        inner = eval_cochain(gamma, _gen_args(gens[:k]), out_vars[:k - 1])
+        inner = eval_cochain(gamma, _gen_args(gens[:k]), _plain(out_vars[:k - 1]), out_vars)
         _pair_into(out, V.lie, const_lp(ModElement.of(gens[k])), inner,
                    ({u: -1 for u in out_vars}, -1), (-1) ** k)
 
@@ -333,7 +327,8 @@ def _d_ce_mixed(P: ConformalAlgebra, V: ConformalModule, gamma: Cochain) -> Coch
             rest_vars = [xvars[t] for t in range(m + 1) if t != i - 1]
 
             # x_i acting on the value with x_i omitted
-            inner = eval_cochain(gamma, _gen_args(rest + asr), rest_vars + list(avars))
+            inner = eval_cochain(gamma, _gen_args(rest + asr), _plain(rest_vars + list(avars)),
+                                 out_vars)
             _pair_into(out, V.lie, const_lp(ModElement.of(xs[i - 1])), inner,
                        ({xvars[i - 1]: 1}, 0), sign_i)
 
@@ -434,7 +429,7 @@ def hochschild_action_value(P: ConformalAlgebra, V: ConformalModule, gamma: Coch
     out_extra = tuple(dict.fromkeys(gamma.extra + c0)) + (var,)
     full = base + out_extra
 
-    inner = eval_cochain(gamma, _gen_args(gens, c0), base)
+    inner = eval_cochain(gamma, _gen_args(gens, c0), _plain(base), full)
     acc = Accumulator(full)
     _pair_into(acc, V.lie, x_lp, inner, ({var: 1}, 0))
 
@@ -500,23 +495,16 @@ def symmetrize(raw: Callable[[tuple[GenIndex, ...]], LambdaPoly], m: int, n: int
     """
     s = m + n
     base = canon_vars(s - 1)
-    tmps = _tmp_vars(s - 1)
+    dagger = ({u: -1 for u in base}, -1)
 
     def sym_value(gens):
         acc = Accumulator(base)
         for perm in itertools.permutations(range(m)):
             order = list(perm) + list(range(m, s))
             v = raw(tuple(gens[order[j]] for j in range(s)))
-            v = v.rename_context(tmps).align(tmps + base)
-            subs = {}
-            for j in range(s - 1):
-                tgt = order[j]
-                if tgt <= s - 2:
-                    subs[tmps[j]] = ({base[tgt]: 1}, 0)
-                else:
-                    subs[tmps[j]] = ({u: -1 for u in base}, -1)
-            v = v.subst_many(subs) if subs else v
-            acc.add(v, _perm_sign(perm))
+            forms = {base[j]: ({base[order[j]]: 1}, 0) if order[j] <= s - 2 else dagger
+                     for j in range(s - 1)}
+            acc.add(substitute(v, forms, base), _perm_sign(perm))
         return acc.build()
 
     return sym_value
@@ -770,14 +758,13 @@ def check_action_module_laws(P: ConformalAlgebra, V: ConformalModule,
 
         # the bracket law
         w = pair(P.bracket, const_lp(x), const_lp(y), lam)
-        lhs3 = hochschild_action_value(P, V, gamma, w, "·s", t)
-        lhs3 = lhs3.align((lam, mu) + gamma.context + ("·s",))
-        lhs3 = lhs3.subst_linear("·s", {lam: 1, mu: 1})
+        full = (lam, mu) + gamma.context
+        lhs3 = substitute(hochschild_action_value(P, V, gamma, w, "·s", t),
+                          {"·s": ({lam: 1, mu: 1}, 0)}, full)
         xy = hochschild_action_value(
             P, V, hochschild_module_action(P, V, y, gamma, mu), const_lp(x), lam, t)
         yx = hochschild_action_value(
             P, V, hochschild_module_action(P, V, x, gamma, lam), const_lp(y), mu, t)
-        full = (lam, mu) + gamma.context
         v3 = lhs3 - xy.align(full) + yx.align(full)
         return v1, v3, v2, v2 - defect
 

@@ -25,6 +25,7 @@ from .algebra import (
     LinearRule,
     PreconditionFailed,
     StructureRule,
+    WindowEscape,
     _pair_comm_residual,
     _pair_into,
     _triple_assoc_residual,
@@ -459,11 +460,12 @@ def semidirect_product(alg: ConformalAlgebra, mod: ConformalModule,
         if not v1:  # [a_L v] = a_L v
             return lift_value(mod.lie.entry(b1, b2), True)
         # [u_L b] = -b_{-L-D} u
-        e = mod.lie.entry(b2, b1)
-        if e is None:
+        try:
+            e = pair_at(mod.lie, const_lp(ModElement.of(b2)), const_lp(ModElement.of(b1)),
+                        ({RULE_VAR: -1}, -1), (RULE_VAR,))
+        except WindowEscape:
             return None
-        e = e.rename_context(("·w",)).subst_dagger((RULE_VAR,)).scale(-1)
-        return e.apply_mod(tag)
+        return e.scale(-1).apply_mod(tag)
 
     return ConformalAlgebra(
         f"{alg.name}|x{mod.name}", list(alg.families) + vfams,

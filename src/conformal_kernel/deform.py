@@ -32,6 +32,7 @@ from .algebra import (
     RULE_VAR,
     StructureRule,
     UnboundedAnsatz,
+    _pair_into,
     _triple_assoc_residual,
     check_poisson,
     commutator_bracket,
@@ -124,13 +125,13 @@ class DeformationSeries:
         def fn(g1, g2):
             b1, k1 = split(g1)
             b2, k2 = split(g2)
-            out = LambdaPoly.zero((RULE_VAR,))
+            acc = Accumulator((RULE_VAR,))
             for j in range(0, N + 1 - k1 - k2):
                 e = self.mu(j).entry(b1, b2)
                 if e is None:
                     return None
-                out = out + e.apply_mod(lambda me, k=k1 + k2 + j: tag(me, k))
-            return out
+                acc.add_lp(e.apply_mod(lambda me, k=k1 + k2 + j: tag(me, k)))
+            return acc.build()
 
         return ConformalAlgebra(f"hbar({self.alg.name})", fams,
                                 product=StructureRule("product", fn),
@@ -224,12 +225,11 @@ def equivalence_check(ds: DeformationSeries, ds2: DeformationSeries,
     prod = ds.alg.product
 
     def residual(a, b):
-        lhs = pair(ds.mu(1), const_lp(a), const_lp(b), L) \
-            - pair(ds2.mu(1), const_lp(a), const_lp(b), L)
-        rhs = pair(prod, const_lp(a), const_lp(phi.apply(b)), L) \
-            + pair(prod, const_lp(phi.apply(a)), const_lp(b), L) \
-            - phi.apply_lp(pair(prod, const_lp(a), const_lp(b), L))
-        return lhs - rhs
+        A, B = const_lp(a), const_lp(b)
+        acc = Accumulator((L,))
+        _pair_into(acc, ds.mu(1), A, B, ({L: 1}, 0))
+        _pair_into(acc, ds2.mu(1), A, B, ({L: 1}, 0), -1)
+        return _deformed_product(acc, prod, phi, a, b, L, -1).build()
 
     return run_tuple_check("equivalence", itertools.product(gens, repeat=2), residual)
 
@@ -336,12 +336,22 @@ def semiclassical_limit(ds: DeformationSeries, window: int = 3
 # Nijenhuis operators and linear deformations
 # ---------------------------------------------------------------------------
 
-def _deformed_product_value(rule: StructureRule, N: LinearRule, a, b) -> LambdaPoly:
-    """N(a) op b + a op N(b) - N(a op b) in the rule variable."""
+def _deformed_product(acc: Accumulator, rule: StructureRule, N: LinearRule, a, b,
+                      var: str, scale) -> Accumulator:
+    """acc += scale * (N(a) op_var b + a op_var N(b) - N(a op_var b)); acc."""
     A, B = const_lp(a), const_lp(b)
-    return (pair(rule, const_lp(N.apply(a)), B, RULE_VAR)
-            + pair(rule, A, const_lp(N.apply(b)), RULE_VAR)
-            - N.apply_lp(pair(rule, A, B, RULE_VAR)))
+    _pair_into(acc, rule, const_lp(N.apply(a)), B, ({var: 1}, 0), scale)
+    _pair_into(acc, rule, A, const_lp(N.apply(b)), ({var: 1}, 0), scale)
+    acc.add(N.apply_lp(pair(rule, A, B, var)), -scale)
+    return acc
+
+
+def _minus_images(value: LambdaPoly, rule: StructureRule, N: LinearRule, a, b) -> LambdaPoly:
+    """value - N(a) op N(b), in the rule variable."""
+    acc = Accumulator((RULE_VAR,))
+    acc.add_lp(value)
+    _pair_into(acc, rule, const_lp(N.apply(a)), const_lp(N.apply(b)), ({RULE_VAR: 1}, 0), -1)
+    return acc.build()
 
 
 def nijenhuis_check(P: ConformalAlgebra, N: LinearRule, window: int = 3) -> list[CheckReport]:
@@ -353,9 +363,8 @@ def nijenhuis_check(P: ConformalAlgebra, N: LinearRule, window: int = 3) -> list
             continue
 
         def residual(a, b, rule=rule):
-            lhs = N.apply_lp(_deformed_product_value(rule, N, a, b))
-            rhs = pair(rule, const_lp(N.apply(a)), const_lp(N.apply(b)), RULE_VAR)
-            return lhs - rhs
+            deformed = _deformed_product(Accumulator((RULE_VAR,)), rule, N, a, b, RULE_VAR, 1)
+            return _minus_images(N.apply_lp(deformed.build()), rule, N, a, b)
 
         reports.append(run_tuple_check(
             name, itertools.product(gens, repeat=2), residual,
@@ -373,7 +382,8 @@ def nijenhuis_deform(P: ConformalAlgebra, N: LinearRule, window: int = 3,
 
     def make(rule, kind):
         def fn(g1, g2):
-            return _deformed_product_value(rule, N, ModElement.of(g1), ModElement.of(g2))
+            return _deformed_product(Accumulator((RULE_VAR,)), rule, N, ModElement.of(g1),
+                                     ModElement.of(g2), RULE_VAR, 1).build()
         return StructureRule(kind, fn)
 
     return ConformalAlgebra(f"nij({P.name})", list(P.families),
@@ -389,8 +399,7 @@ def nijenhuis_homomorphism_check(P: ConformalAlgebra, deformed: ConformalAlgebra
 
     def residual(a, b):
         return stack_rows([
-            N.apply_lp(pair(defd, const_lp(a), const_lp(b), RULE_VAR))
-            - pair(orig, const_lp(N.apply(a)), const_lp(N.apply(b)), RULE_VAR)
+            _minus_images(N.apply_lp(pair(defd, const_lp(a), const_lp(b), RULE_VAR)), orig, N, a, b)
             for orig, defd in ((P.product, deformed.product), (P.bracket, deformed.bracket))])
 
     return run_tuple_check("nijenhuis_homomorphism",
@@ -484,9 +493,10 @@ def trivial_deformation_check(P: ConformalAlgebra, varpi: StructureRule,
         rows = []
         for rule, base in ((varpi, P.product), (omega, P.bracket)):
             ab = pair(rule, const_lp(a), const_lp(b), RULE_VAR)
-            rows.append(ab - _deformed_product_value(base, N, a, b))
-            rows.append(N.apply_lp(ab)
-                        - pair(base, const_lp(N.apply(a)), const_lp(N.apply(b)), RULE_VAR))
+            acc = Accumulator((RULE_VAR,))
+            acc.add_lp(ab)
+            rows.append(_deformed_product(acc, base, N, a, b, RULE_VAR, -1).build())
+            rows.append(_minus_images(N.apply_lp(ab), base, N, a, b))
         return stack_rows(rows)
 
     return run_tuple_check(

@@ -8,14 +8,12 @@ never stored, so structural equality is semantic equality.  All arithmetic
 is exact: scalars are ints where integral and ``fractions.Fraction``
 otherwise; there are no floats anywhere.
 
-The substitution calculus lives here as well.  Its general form is
-``LambdaPoly.subst_many``: replace several spectral variables at once by
-linear forms ``sum(c_u * u) + d * D`` in the remaining variables, each
-D-power acting on the module coefficient from the left.  Its special cases
-are ``subst_linear`` (one variable) and ``subst_dagger`` (a variable by
-``-(sum of vars) - D``).  Pairing at a linear form (``algebra.pair_at``)
-is not on that path: it expands the form's powers in place (``form_power``,
-cached per form and power) straight into an ``Accumulator``.
+A linear form ``({u: c_u}, d)`` over a context reads sum(c_u * u) + d * D,
+with D-powers acting on the module coefficient from the left.  ``substitute``
+is the one way to put forms in for variables: it multiplies the cached
+powers of the forms (``form_power``), one cached product per exponent
+vector.  Pairing at a linear form (``algebra.pair_at``) expands the same
+powers straight into an ``Accumulator``.
 """
 
 from __future__ import annotations
@@ -191,10 +189,6 @@ class ModElement:
             return self
         return ModElement({gk: qify(c * v) for gk, v in self.bucket.items()})
 
-    def dmul(self, dp: DPoly) -> "ModElement":
-        """Apply a polynomial in D to this element (left action of Q[D])."""
-        return ModElement.combine((self, j, d) for j, d in dp)
-
     def d_apply(self, power: int) -> "ModElement":
         """Multiply every coefficient by D^power."""
         return ModElement(_dshift(self.bucket, power))
@@ -329,54 +323,6 @@ class LambdaPoly:
             out[tuple(ne)] = b
         return LambdaPoly(new_context, out)
 
-    # -- substitution calculus
-    def subst_many(self, subs: dict[str, tuple[dict[str, Q], Q]]) -> "LambdaPoly":
-        """Simultaneously replace variables by linear forms in the remaining
-        ones: ``subs`` maps each substituted variable v to (target
-        coefficients {u: c_u}, D coefficient d), read as
-        v -> sum(c_u * u) + d * D, with D-powers acting on the module
-        coefficients from the left.  Every substituted variable and every
-        target must be in the context, and no target may itself be
-        substituted (ValueError otherwise); the substituted variables leave
-        the context of the result.
-
-        Since the targets stay fixed, the simultaneous substitution is the
-        composite of one-variable substitutions.  Each one runs by Horner's
-        rule, R <- L * R + P_k over the coefficients P_k of v^k, so the
-        products of a power of L are merged as they form rather than
-        expanded term by term.
-        """
-        ctx = self.context
-        for v in subs:
-            if v not in ctx:
-                raise ValueError(f"substituted variable {v} missing from context {ctx}")
-        keep = [i for i, v in enumerate(ctx) if v not in subs]
-        new_ctx = tuple(ctx[i] for i in keep)
-        data = self.data
-        for v, (var_coeffs, d_coeff) in subs.items():
-            lin = []
-            for name, c in var_coeffs.items():
-                if name not in new_ctx:
-                    raise ValueError(f"target {name} of {v} missing from context {new_ctx}")
-                c = qify(c)
-                if c:
-                    lin.append((ctx.index(name), c))
-            data = _subst_var(data, ctx.index(v), lin, qify(d_coeff))
-        # the substituted slots are 0 now, so dropping them merges nothing
-        return _clean(new_ctx, ((tuple(e[i] for i in keep), b) for e, b in data.items()))
-
-    def subst_linear(self, var: str, var_coeffs: dict[str, Q], d_coeff: Q = ZERO) -> "LambdaPoly":
-        """Replace ``var`` by the linear form ``sum(c_v * v) + d_coeff * D``;
-        the one-variable case of ``subst_many``."""
-        return self.subst_many({var: (var_coeffs, d_coeff)})
-
-    def subst_dagger(self, minus_vars: tuple[str, ...]) -> "LambdaPoly":
-        """Single-variable polynomial: nu^k -> (-(sum minus_vars) - D)^k."""
-        (nu,) = self.context
-        return self.align((nu,) + tuple(minus_vars)).subst_linear(
-            nu, {v: -ONE for v in minus_vars}, d_coeff=-ONE
-        )
-
     def extract_nth(self) -> list[tuple[int, ModElement]]:
         """n-th products of a single-variable polynomial: pairs (n, n! * [nu^n])."""
         if len(self.context) != 1:
@@ -433,33 +379,6 @@ def _merge(out: dict, exp: tuple[int, ...], bucket: dict, scale=ONE):
 def _dshift(bucket: dict, k: int) -> dict:
     """D^k times a bucket."""
     return {(g, j + k): c for (g, j), c in bucket.items()} if k else bucket
-
-
-def _subst_var(data: dict, i: int, lin: list[tuple[int, Q]], d) -> dict:
-    """Substitute slot i of the exponent vectors by sum(c * var[pos]) + d*D
-    (``lin`` lists the nonzero (pos, c)); slot i is left at 0 and the
-    result may hold zero scalars."""
-    if not any(e[i] for e in data):
-        return data
-    groups: dict[int, dict] = {}
-    for e, b in data.items():
-        n = e[i]
-        if n:
-            e = e[:i] + (0,) + e[i + 1:]
-        groups.setdefault(n, {})[e] = b
-    top = max(groups)
-    R = groups[top]
-    for n in range(top - 1, -1, -1):
-        nxt: dict = {}
-        for e, b in R.items():
-            for pos, c in lin:
-                _merge(nxt, e[:pos] + (e[pos] + 1,) + e[pos + 1:], b, c)
-            if d:
-                _merge(nxt, e, _dshift(b, 1), d)
-        for e, b in groups.get(n, {}).items():
-            _merge(nxt, e, b)
-        R = nxt
-    return R
 
 
 def _clean(context: tuple[str, ...], items) -> "LambdaPoly":
@@ -528,6 +447,50 @@ def form_power(context: tuple[str, ...], form: tuple[dict[str, Q], Q],
     return got
 
 
+_FORM_KEYS: dict[tuple, int] = {}  # (context, forms) -> a short name for _FORM_PRODUCTS
+_FORM_PRODUCTS: dict[tuple, list[tuple[Q, tuple[int, ...], int]]] = {}
+
+
+def substitute(lp: "LambdaPoly", forms: dict[str, tuple[dict[str, Q], Q]],
+               ctx: tuple[str, ...]) -> "LambdaPoly":
+    """lp with each variable v of its context replaced by the linear form
+    forms[v] = ({u: c_u}, d) over ctx; a variable left out maps to itself.
+    Source and target contexts are separate, so a form may name lp's own
+    variables (a swap needs no temporaries).  The result lives in ctx.  A
+    form variable, or a variable left out, missing from ctx raises
+    ValueError, and so does a key of forms that is not a variable of lp."""
+    for v in forms:
+        if v not in lp.context:
+            raise ValueError(f"substituted variable {v} missing from context {lp.context}")
+    fs = tuple(forms.get(v) or ({v: 1}, 0) for v in lp.context)
+    return _expand(Accumulator(ctx), lp, fs, (0,) * len(fs)).build()
+
+
+def _expand(acc: "Accumulator", lp: "LambdaPoly", forms, shift: tuple[int, ...]) -> "Accumulator":
+    """Add each term b * prod(v_i^e_i) of lp, with e padded by zeros to the
+    length of forms, as b * prod(forms[i]^(e_i + shift[i])) over acc's
+    context; return acc.  The products are cached per exponent vector."""
+    ctx = acc.context
+    key = (ctx,) + tuple((tuple(c.items()), d) for c, d in forms)
+    key = _FORM_KEYS.setdefault(key, len(_FORM_KEYS))
+    for e, b in lp.data.items():
+        exps = tuple(map(add, e, shift)) + shift[len(e):]
+        got = _FORM_PRODUCTS.get((key, exps))
+        if got is None:
+            terms = {((0,) * len(ctx), 0): ONE}
+            for form, n in zip(forms, exps, strict=True):
+                nxt: dict = {}
+                for c2, e2, d2 in form_power(ctx, form, n):  # also checks the form
+                    for (e1, d1), c1 in terms.items():
+                        k = (tuple(map(add, e1, e2)), d1 + d2)
+                        nxt[k] = nxt.get(k, 0) + c1 * c2
+                terms = nxt
+            got = _FORM_PRODUCTS[key, exps] = [(qify(c), x, d) for (x, d), c in terms.items() if c]
+        for c, inc, kd in got:
+            _merge(acc.data, inc, _dshift(b, kd), c)
+    return acc
+
+
 class Accumulator:
     """Mutable builder of a LambdaPoly in its stored form; zero scalars may
     collect until ``build`` drops them."""
@@ -539,22 +502,21 @@ class Accumulator:
         self.data: dict[tuple[int, ...], dict[tuple[GenIndex, int], Q]] = {}
 
     def add_lp(self, lp: "LambdaPoly", scale=ONE, mono: tuple[int, ...] | None = None,
-               dshift: int = 0, positions: list[int] | None = None):
-        """Add scale * monomial * D^dshift * lp, with lp's exponents embedded
-        through `positions` (indices into this accumulator's context)."""
-        data = self.data
-        if positions is None:
-            keys = lp.data if mono is None else [tuple(map(add, mono, exp)) for exp in lp.data]
-        else:
-            base = list(mono) if mono is not None else [0] * len(self.context)
+               positions: list[int] | None = None):
+        """Add scale * monomial * lp, or scale * lp with its exponents
+        embedded through `positions` (indices into this accumulator's
+        context); lp may be another Accumulator, read before its build."""
+        if positions is not None:
             keys = []
             for exp in lp.data:
-                cur = base[:]
+                cur = [0] * len(self.context)
                 for pos, e in zip(positions, exp):
                     cur[pos] += e
                 keys.append(tuple(cur))
+        else:
+            keys = lp.data if mono is None else [tuple(map(add, mono, exp)) for exp in lp.data]
         for key, b in zip(keys, lp.data.values()):
-            _merge(data, key, _dshift(b, dshift), scale)
+            _merge(self.data, key, b, scale)
 
     def add(self, lp: "LambdaPoly", scale=ONE):
         """Add scale * lp, embedding lp's variables by name (each must be in
@@ -580,7 +542,6 @@ def multi_shifted_action(value: LambdaPoly, vars: tuple[str, ...], power: int) -
     """Apply (D + v_1 + ... + v_k)^power; used for the final cochain slot."""
     if power == 0:
         return value
-    acc = Accumulator(value.context)
-    for c, exp, kd in form_power(value.context, ({v: 1 for v in vars}, 1), power):
-        acc.add_lp(value, c, exp, dshift=kd)
-    return acc.build()
+    fs = tuple(({v: 1}, 0) for v in value.context) + (({v: 1 for v in vars}, 1),)
+    shift = (0,) * len(value.context) + (power,)
+    return _expand(Accumulator(value.context), value, fs, shift).build()

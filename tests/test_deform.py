@@ -330,6 +330,21 @@ class TestNijenhuis:
                        if g.params[0] % 2 else ModElement.of(xg(g.params[0] + 2)))
         assert suite_fails(nijenhuis_check(P, N, window=2))
 
+    def test_check_pairs_into_one_accumulator(self, monkeypatch):
+        # each residual pairs its terms into one accumulator: at most two
+        # builds a tuple, where a chain of + and - builds one per join
+        from conformal_kernel.symcore import Accumulator
+
+        manifest = parse_file(os.path.join(DEMOS, "ex2_17.alg"))
+        P, N = manifest.algebra(), manifest.nijenhuis()
+        builds = []
+        real_build = Accumulator.build
+        monkeypatch.setattr(Accumulator, "build", lambda acc: builds.append(1) or real_build(acc))
+        reports = nijenhuis_check(P, N, 2)
+        checked = sum(r.checked for r in reports)
+        assert suite_passes(reports) and checked == 18
+        assert len(builds) <= 2 * checked, (len(builds), checked)
+
     def test_deformed_algebra_passes_and_homomorphism(self):
         P = poly_poisson()
         N = LinearRule(lambda g: ModElement.of(xg(g.params[0] + 1)))

@@ -15,6 +15,7 @@ from conformal_kernel.symcore import (
     gen_binom,
     multi_shifted_action,
     shifted_action,
+    substitute,
 )
 
 E1 = gen("e", 1)
@@ -66,11 +67,17 @@ class TestDApply:
 def subst_sum(p, targets):
     """nu^k -> (sum of targets)^k for p in the single variable nu."""
     (nu,) = p.context
-    return p.align((nu,) + tuple(targets)).subst_linear(nu, {t: 1 for t in targets})
+    return substitute(p, {nu: ({t: 1 for t in targets}, 0)}, tuple(targets))
+
+
+def subst_dagger(p, targets):
+    """nu^k -> (-(sum of targets) - D)^k for p in the single variable nu."""
+    (nu,) = p.context
+    return substitute(p, {nu: ({t: -1 for t in targets}, -1)}, tuple(targets))
 
 
 class TestSubstSum:
-    """The lambda+mu shifts, through align and subst_linear."""
+    """The lambda+mu shifts, through substitute."""
 
     def test_linear(self):
         p = lp(("nu",), ((1,), ModElement.of(E1)))
@@ -101,14 +108,14 @@ class TestSubstSum:
             direct = subst_sum(p, ("mu", "rho"))
             assert via == direct
             # the same shift as one simultaneous substitution
-            many = p.align(("nu", "mu", "rho")).subst_many({"nu": ({"mu": 1, "rho": 1}, 0)})
+            many = substitute(p, {"nu": ({"mu": 1, "rho": 1}, 0)}, ("mu", "rho"))
             assert many == direct
 
 
 class TestSubstDagger:
     def test_degree_one(self):
         p = lp(("nu",), ((1,), ModElement.of(E1)))
-        got = p.subst_dagger(("lam",))
+        got = subst_dagger(p, ("lam",))
         want = lp(
             ("lam",),
             ((1,), ModElement.of(E1, DPoly.const(-1))),
@@ -118,19 +125,19 @@ class TestSubstDagger:
 
     def test_degree_zero(self):
         p = lp(("nu",), ((0,), ModElement.of(E1)))
-        assert p.subst_dagger(("lam",)) == lp(("lam",), ((0,), ModElement.of(E1)))
+        assert subst_dagger(p, ("lam",)) == lp(("lam",), ((0,), ModElement.of(E1)))
 
     def test_pure_d_square(self):
         # brute force: (-D)^2 = D^2 with sign (-1)^2 = 1
         p = lp(("nu",), ((2,), ModElement.of(E1)))
-        got = p.subst_dagger(())
+        got = subst_dagger(p, ())
         assert got == LambdaPoly.of((), ModElement.of(E1, DPoly.d_power(2)))
 
     def test_involution_on_random_inputs(self):
         rng = random.Random(7)
         for _ in range(30):
             p = rand_lambda(rng, ("nu",))
-            back = p.subst_dagger(("lam",)).rename_context(("nu",)).subst_dagger(("lam",))
+            back = subst_dagger(subst_dagger(p, ("lam",)).rename_context(("nu",)), ("lam",))
             assert back == p.rename_context(("lam",))
 
 
@@ -228,7 +235,7 @@ class TestHelpers:
 
     def test_align_and_subst_linear(self):
         p = lp(("t",), ((1,), ModElement.of(E1)))
-        q = p.align(("lam", "t", "mu")).subst_linear("t", {"lam": Q(1), "mu": Q(1)})
+        q = substitute(p, {"t": ({"lam": Q(1), "mu": Q(1)}, 0)}, ("lam", "mu"))
         want = lp(("lam", "mu"), ((1, 0), ModElement.of(E1)), ((0, 1), ModElement.of(E1)))
         assert q == want
 
@@ -292,8 +299,9 @@ class TestSubstMany:
                               ({"v": Q(-2, 3)}, 0),
                               ({}, Q(2))][trial % 3]
             p = rand_subst_input(rng, self.CTX, subst)
-            got = p.subst_many(subs)
-            assert got.context == tuple(v for v in self.CTX if v not in subs)
+            rest = tuple(v for v in self.CTX if v not in subs)
+            got = substitute(p, subs, rest)
+            assert got.context == rest
             D = sympy.Symbol("D")
             repl = {}
             for v, (targets, dco) in subs.items():
@@ -305,20 +313,39 @@ class TestSubstMany:
             assert sympy.expand(to_sympy(sympy, got) - want) == 0, (p, subs)
             # one variable at a time gives the same value
             seq = p
-            for v, (targets, dco) in subs.items():
-                seq = seq.subst_linear(v, targets, dco)
+            for v, form in subs.items():
+                seq = substitute(seq, {v: form}, tuple(u for u in seq.context if u != v))
             assert seq == got
+
+    def test_swap(self):
+        # source and target contexts are separate: a <-> b needs no temporaries
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(53)
+        a, b, D = sympy.symbols("a b D")
+        for _ in range(8):
+            p = rand_subst_input(rng, ("a", "b", "u"), ("a", "b"))
+            swapped = substitute(p, {"a": ({"b": 1}, 0), "b": ({"a": 1}, 0)}, ("a", "b", "u"))
+            want = to_sympy(sympy, p).xreplace({a: b, b: a})
+            assert sympy.expand(to_sympy(sympy, swapped) - want) == 0, p
+            assert substitute(swapped, {"a": ({"b": 1}, 0), "b": ({"a": 1}, 0)},
+                              ("a", "b", "u")) == p
+            # a swap with a D term: a -> b, b -> a - D
+            got = substitute(p, {"a": ({"b": 1}, 0), "b": ({"a": 1}, -1)}, ("a", "b", "u"))
+            want = to_sympy(sympy, p).xreplace({a: b, b: a - D})
+            assert sympy.expand(to_sympy(sympy, got) - want) == 0, p
 
     def test_missing_variables_raise(self):
         p = lp(("a", "u"), ((2, 1), ModElement.of(E1)))
-        with pytest.raises(ValueError):
-            p.subst_many({"a": ({"w": 1}, 0)})          # target not in context
-        with pytest.raises(ValueError):
-            p.subst_linear("a", {"a": 1})               # target is substituted
-        with pytest.raises(ValueError):
-            p.subst_many({"z": ({"u": 1}, 0)})          # substituted var absent
-        with pytest.raises(ValueError):
-            p.subst_linear("z", {"u": 1})
+        with pytest.raises(ValueError, match="variable w missing"):
+            substitute(p, {"a": ({"w": 1}, 0)}, ("u",))          # target not in context
+        with pytest.raises(ValueError, match="variable a missing"):
+            substitute(p, {"a": ({"a": 1}, 0)}, ("u",))          # target is substituted
+        with pytest.raises(ValueError, match="substituted variable z"):
+            substitute(p, {"z": ({"u": 1}, 0)}, ("a", "u"))      # substituted var absent
+        with pytest.raises(ValueError, match="substituted variable z"):
+            substitute(p, {"z": ({"u": 1}, 0)}, ("u",))
+        with pytest.raises(ValueError, match="variable u missing"):
+            substitute(p, {"a": ({}, 1)}, ("a",))                # u left out, absent from ctx
 
 
 class TestSympyOracle:
@@ -354,7 +381,7 @@ class TestSympyOracle:
         for _ in range(10):
             p = rand_lambda(rng, ("nu",))
             want = to_sympy(sympy, p).xreplace({nu: -lam - mu - D})
-            got = p.subst_dagger(("lam", "mu"))
+            got = subst_dagger(p, ("lam", "mu"))
             assert sympy.expand(to_sympy(sympy, got) - want) == 0, p
 
     def test_shifted_actions(self, sympy):
@@ -388,7 +415,8 @@ class TestSympyOracle:
             assert sympy.expand(S(-a) + S(a)) == 0 and (a - a).is_zero()
             assert sympy.expand(S(a.scale(c)) - _rat(sympy, c) * S(a)) == 0
             assert sympy.expand(S(a.d_apply(k)) - D ** k * S(a)) == 0
-            assert sympy.expand(S(a.dmul(dp)) - dpoly_to_sympy(sympy, dp) * S(a)) == 0
+            assert sympy.expand(S(ModElement.combine((a, j, d) for j, d in dp))
+                                - dpoly_to_sympy(sympy, dp) * S(a)) == 0
             # a Q[D]-module map: sum over g of (coefficient of g)(D) * image(g)
             want = sum((S(a).coeff(sympy.Symbol(repr(g))) * S(img) for g, img in images.items()),
                        sympy.Integer(0))
