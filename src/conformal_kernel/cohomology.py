@@ -166,12 +166,8 @@ def eval_cochain(coch: Cochain, args: Sequence[LambdaPoly],
         raise ValueError("arity mismatch in eval_cochain")
     # one form per variable of coch.context, then the final slot's
     fs = tuple(forms) + tuple(({e: 1}, 0) for e in coch.extra)
-    final: dict[str, int] = {}
-    for coeffs, _d in fs:
-        for u, c in coeffs.items():
-            final[u] = final.get(u, 0) + c
-    fs += (({u: c for u, c in final.items() if c}, 1 + sum(d for _c, d in fs)),)
-    no_extra = (0,) * len(coch.extra)
+    fs += (({u: t for u in ctx if (t := sum(c.get(u, 0) for c, _d in fs))},
+            1 + sum(d for _c, d in fs)),)
     positions = [_positions(a.context, ctx) for a in args]
     acc = Accumulator(ctx)
     values: dict[tuple, Accumulator] = {}  # (gens, D-powers) -> value in ctx
@@ -182,7 +178,7 @@ def eval_cochain(coch: Cochain, args: Sequence[LambdaPoly],
         if val is None:
             # D^k on non-final slot p is (-f_p)^k: k more powers of f_p
             val = values[gens, ks] = _expand(Accumulator(ctx), coch.value(gens), fs,
-                                             ks[:-1] + no_extra + ks[-1:])
+                                             ks[:-1] + (0,) * len(coch.extra) + ks[-1:])
         scalar = -1 if sum(ks[:-1]) % 2 else 1
         mono = [0] * len(ctx)
         for (exp, _g, _k, c), pos in zip(combo, positions):
@@ -324,11 +320,10 @@ def _d_ce_mixed(P: ConformalAlgebra, V: ConformalModule, gamma: Cochain) -> Coch
         for i in range(1, m + 2):
             sign_i = (-1) ** (i + 1)
             rest = xs[:i - 1] + xs[i:]
-            rest_vars = [xvars[t] for t in range(m + 1) if t != i - 1]
+            rest_vars = [xvars[t] for t in range(m + 1) if t != i - 1] + list(avars)
 
             # x_i acting on the value with x_i omitted
-            inner = eval_cochain(gamma, _gen_args(rest + asr), _plain(rest_vars + list(avars)),
-                                 out_vars)
+            inner = eval_cochain(gamma, _gen_args(rest + asr), _plain(rest_vars), out_vars)
             _pair_into(out, V.lie, const_lp(ModElement.of(xs[i - 1])), inner,
                        ({xvars[i - 1]: 1}, 0), sign_i)
 

@@ -449,6 +449,7 @@ def form_power(context: tuple[str, ...], form: tuple[dict[str, Q], Q],
 
 _FORM_KEYS: dict[tuple, int] = {}  # (context, forms) -> a short name for _FORM_PRODUCTS
 _FORM_PRODUCTS: dict[tuple, list[tuple[Q, tuple[int, ...], int]]] = {}
+_MOVED_PRODUCTS: dict[tuple, list[tuple[Q, tuple[int, ...], int]]] = {}
 
 
 def substitute(lp: "LambdaPoly", forms: dict[str, tuple[dict[str, Q], Q]],
@@ -470,25 +471,42 @@ def _expand(acc: "Accumulator", lp: "LambdaPoly", forms, shift: tuple[int, ...])
     """Add each term b * prod(v_i^e_i) of lp, with e padded by zeros to the
     length of forms, as b * prod(forms[i]^(e_i + shift[i])) over acc's
     context; return acc.  The products are cached per exponent vector."""
-    ctx = acc.context
-    key = (ctx,) + tuple((tuple(c.items()), d) for c, d in forms)
+    key = (acc.context,) + tuple((tuple(c.items()), d) for c, d in forms)
     key = _FORM_KEYS.setdefault(key, len(_FORM_KEYS))
     for e, b in lp.data.items():
         exps = tuple(map(add, e, shift)) + shift[len(e):]
         got = _FORM_PRODUCTS.get((key, exps))
         if got is None:
-            terms = {((0,) * len(ctx), 0): ONE}
-            for form, n in zip(forms, exps, strict=True):
-                nxt: dict = {}
-                for c2, e2, d2 in form_power(ctx, form, n):  # also checks the form
-                    for (e1, d1), c1 in terms.items():
-                        k = (tuple(map(add, e1, e2)), d1 + d2)
-                        nxt[k] = nxt.get(k, 0) + c1 * c2
-                terms = nxt
-            got = _FORM_PRODUCTS[key, exps] = [(qify(c), x, d) for (x, d), c in terms.items() if c]
+            got = _FORM_PRODUCTS[key, exps] = _form_product(acc.context, forms, exps)
         for c, inc, kd in got:
             _merge(acc.data, inc, _dshift(b, kd), c)
     return acc
+
+
+def _form_product(ctx: tuple[str, ...], forms, exps: tuple[int, ...]
+                  ) -> list[tuple[Q, tuple[int, ...], int]]:
+    """prod of forms[i]^exps[i] over ctx, like terms merged, as [(scalar,
+    exponent vector, D-power)].  A form that is one variable moves its
+    exponent there; the product of the other forms' powers is cached."""
+    mono, rest = [0] * len(ctx), []
+    for (c, d), n in zip(forms, exps, strict=True):
+        if not d and list(c.values()) == [1]:
+            mono[_positions(tuple(c), ctx)[0]] += n
+        else:
+            rest.append(((c, d), n))
+    key = (ctx,) + tuple((tuple(c.items()), d, n) for (c, d), n in rest)
+    got = _MOVED_PRODUCTS.get(key)
+    if got is None:
+        terms = {((0,) * len(ctx), 0): ONE}
+        for form, n in rest:
+            nxt: dict = {}
+            for c2, e2, d2 in form_power(ctx, form, n):  # also checks the form
+                for (e1, d1), c1 in terms.items():
+                    k = (tuple(map(add, e1, e2)), d1 + d2)
+                    nxt[k] = nxt.get(k, 0) + c1 * c2
+            terms = nxt
+        got = _MOVED_PRODUCTS[key] = [(qify(c), x, d) for (x, d), c in terms.items() if c]
+    return [(c, tuple(map(add, mono, x)), d) for c, x, d in got]
 
 
 class Accumulator:
@@ -501,30 +519,17 @@ class Accumulator:
         self.context = tuple(context)
         self.data: dict[tuple[int, ...], dict[tuple[GenIndex, int], Q]] = {}
 
-    def add_lp(self, lp: "LambdaPoly", scale=ONE, mono: tuple[int, ...] | None = None,
-               positions: list[int] | None = None):
-        """Add scale * monomial * lp, or scale * lp with its exponents
-        embedded through `positions` (indices into this accumulator's
-        context); lp may be another Accumulator, read before its build."""
-        if positions is not None:
-            keys = []
-            for exp in lp.data:
-                cur = [0] * len(self.context)
-                for pos, e in zip(positions, exp):
-                    cur[pos] += e
-                keys.append(tuple(cur))
-        else:
-            keys = lp.data if mono is None else [tuple(map(add, mono, exp)) for exp in lp.data]
+    def add_lp(self, lp: "LambdaPoly", scale=ONE, mono: tuple[int, ...] | None = None):
+        """Add scale * monomial * lp, lp in this accumulator's context; lp
+        may be another Accumulator, read before its build."""
+        keys = lp.data if mono is None else [tuple(map(add, mono, exp)) for exp in lp.data]
         for key, b in zip(keys, lp.data.values()):
             _merge(self.data, key, b, scale)
 
     def add(self, lp: "LambdaPoly", scale=ONE):
         """Add scale * lp, embedding lp's variables by name (each must be in
         this accumulator's context)."""
-        if lp.context == self.context:
-            self.add_lp(lp, scale)
-        else:
-            self.add_lp(lp, scale, positions=_positions(lp.context, self.context))
+        self.add_lp(lp if lp.context == self.context else substitute(lp, {}, self.context), scale)
 
     def build(self) -> "LambdaPoly":
         return _clean(self.context, self.data.items())
