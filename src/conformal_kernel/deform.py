@@ -338,7 +338,7 @@ def semiclassical_limit(ds: DeformationSeries, window: int = 3
 
 def _deformed_product(acc: Accumulator, rule: StructureRule, N: LinearRule, a, b,
                       var: str, scale) -> Accumulator:
-    """acc += scale * (N(a) op_var b + a op_var N(b) - N(a op_var b)); acc."""
+    """acc += scale * (N(a) op_var b + a op_var N(b) - N(a op_var b)); returns acc."""
     A, B = const_lp(a), const_lp(b)
     _pair_into(acc, rule, const_lp(N.apply(a)), B, ({var: 1}, 0), scale)
     _pair_into(acc, rule, A, const_lp(N.apply(b)), ({var: 1}, 0), scale)

@@ -468,13 +468,13 @@ def substitute(lp: "LambdaPoly", forms: dict[str, tuple[dict[str, Q], Q]],
 
 
 def _expand(acc: "Accumulator", lp: "LambdaPoly", forms, shift: tuple[int, ...]) -> "Accumulator":
-    """Add each term b * prod(v_i^e_i) of lp, with e padded by zeros to the
-    length of forms, as b * prod(forms[i]^(e_i + shift[i])) over acc's
-    context; return acc.  The products are cached per exponent vector."""
+    """Add each term b * prod(v_i^e_i) of lp, e padded by zeros to the length
+    of forms (ValueError if longer), as b * prod(forms[i]^(e_i + shift[i]))
+    over acc's context; return acc.  Products are cached per exponent vector."""
     key = (acc.context,) + tuple((tuple(c.items()), d) for c, d in forms)
     key = _FORM_KEYS.setdefault(key, len(_FORM_KEYS))
     for e, b in lp.data.items():
-        exps = tuple(map(add, e, shift)) + shift[len(e):]
+        exps = tuple(map(add, e, shift)) + e[len(shift):] + shift[len(e):]
         got = _FORM_PRODUCTS.get((key, exps))
         if got is None:
             got = _FORM_PRODUCTS[key, exps] = _form_product(acc.context, forms, exps)

@@ -482,16 +482,20 @@ class TestSlotEvaluationOracle:
     def small_item(self, rng, ctx):
         """One generator with one or two D-powers up to 2, exponents up to 1."""
         g = rng.choice(self.ITEM_GENS)
-        return LambdaPoly(ctx, {tuple(rng.randint(0, 1) for _ in ctx): {
-            (g, k): Q(rng.randint(-3, 3) or 1, rng.randint(1, 2)) for k in rng.sample(range(3), rng.randint(1, 2))}})
+        exp = tuple(rng.randint(0, 1) for _ in ctx)
+        ks = rng.sample(range(3), rng.randint(1, 2))
+        return LambdaPoly(ctx, {exp: {(g, k): Q(rng.randint(-3, 3) or 1, rng.randint(1, 2))
+                                      for k in ks}})
 
     def rand_rule(self, rng):
         """A bracket table on x[0..2] with values on x[0..3]."""
         table = {}
         for g1 in self.ITEM_GENS:
             for g2 in self.ITEM_GENS:
-                tgt = xg(g1.params[0] + g2.params[0] - rng.randint(0, 1) if g1.params[0] + g2.params[0] else 0)
-                table[g1, g2] = LambdaPoly((RULE_VAR,), {(rng.randint(0, 1),): {(tgt, rng.randint(0, 1)): rng.choice((-2, -1, 1, 3))}})
+                total = g1.params[0] + g2.params[0]
+                tgt = xg(total - rng.randint(0, 1) if total else 0)
+                exp, k = (rng.randint(0, 1),), rng.randint(0, 1)
+                table[g1, g2] = LambdaPoly((RULE_VAR,), {exp: {(tgt, k): rng.choice((-2, -1, 1, 3))}})
         return StructureRule.from_table("bracket", table), table
 
     def sym_pair(self, sympy, table, u, w, form):
