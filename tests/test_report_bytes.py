@@ -1,8 +1,8 @@
-"""The `conformal-kernel` commands against golden report files.
+"""The `conformal-kernel` commands and the demos against golden report files.
 
 Each golden file under tests/golden/ holds one command's exit code, stdout
-and stderr, byte for byte.  After a deliberate change of a report, rewrite
-them with
+and stderr, byte for byte; a demo runs as a script from the repo root.
+After a deliberate change of a report, rewrite them with
 
     PYTHONPATH=src python3 tests/test_report_bytes.py --regen
 
@@ -37,24 +37,37 @@ CASES = {
     "semiclassical_ex2_17_w3": ["semiclassical", "demos/ex2_17.alg", "--window", "3"],
 }
 
+# the walkthrough scripts demos/0*.py, each a case "demo_<script name>"
+DEMOS = {"demo_" + f[:-3]: os.path.join("demos", f)
+         for f in sorted(os.listdir(os.path.join(ROOT, "demos")))
+         if f.startswith("0") and f.endswith(".py")}
 
-def run_cli(argv) -> str:
+
+def run_python(argv) -> str:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.join(ROOT, "src") + os.pathsep + env.get("PYTHONPATH", "")
-    p = subprocess.run([sys.executable, "-m", "conformal_kernel.cli", *argv], cwd=ROOT,
+    p = subprocess.run([sys.executable, *argv], cwd=ROOT,
                        env=env, capture_output=True, text=True, timeout=300)
     return f"exit {p.returncode}\n--- stdout\n{p.stdout}--- stderr\n{p.stderr}"
+
+
+def run_cli(argv) -> str:
+    return run_python(["-m", "conformal_kernel.cli", *argv])
+
+
+def run_case(name: str) -> str:
+    return run_python([DEMOS[name]]) if name in DEMOS else run_cli(CASES[name])
 
 
 def golden_path(name: str) -> str:
     return os.path.join(GOLDEN, name + ".txt")
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
+@pytest.mark.parametrize("name", sorted(CASES) + sorted(DEMOS))
 def test_report_bytes(name):
     with open(golden_path(name), encoding="utf-8") as fh:
         want = fh.read()
-    assert run_cli(CASES[name]) == want
+    assert run_case(name) == want
 
 
 def test_cohomology_refuses_multi_parameter_family():
@@ -70,6 +83,6 @@ if __name__ == "__main__":
     if sys.argv[1:] != ["--regen"]:
         raise SystemExit("usage: test_report_bytes.py --regen")
     os.makedirs(GOLDEN, exist_ok=True)
-    for case, argv in sorted(CASES.items()):
+    for case in sorted(CASES) + sorted(DEMOS):
         with open(golden_path(case), "w", encoding="utf-8") as fh:
-            fh.write(run_cli(argv))
+            fh.write(run_case(case))

@@ -1,10 +1,22 @@
+import itertools
 import random
 from fractions import Fraction as Q
 from math import factorial
 
 import pytest
 
-from conformal_kernel.algebra import RULE_VAR, LinearRule, StructureRule, pair, pair_at
+from conformal_kernel.algebra import (
+    KIND_ASSOCIATIVE,
+    KIND_NC_POISSON,
+    RULE_VAR,
+    ConformalAlgebra,
+    GenFamily,
+    LinearRule,
+    StructureRule,
+    pair,
+    pair_at,
+)
+from conformal_kernel.constructors import ord_table
 from conformal_kernel.symcore import (
     DPoly,
     GenIndex,
@@ -506,3 +518,151 @@ class TestSympyOracle:
             for sign in (1, -1):
                 comm = P(tp, sa, sb, Ls) - sign * P(tp, sb, sa, dagger)
                 assert sympy.expand(S(_pair_comm_residual(prod, sign, a, b)) - comm) == 0
+
+    # -- every residual of a sweep against its displayed formula
+
+    FAMILY = GenFamily("e", 1, 1, 2)  # members E1 and E2 at window 2
+
+    def rand_ord_rule(self, rng):
+        """A random ordinary table (D-free values) and its rule table."""
+        table = {}
+        for g1 in self.GENS:
+            for g2 in self.GENS:
+                table[(g1, g2)] = ModElement.zero()
+                for g in rng.sample(self.GENS, rng.randint(1, 2)):
+                    table[(g1, g2)] += ModElement.of(g, DPoly.const(Q(rng.randint(-3, 3) or 1)))
+        lifted = {k: LambdaPoly.of((RULE_VAR,), v) for k, v in table.items()}
+        return ord_table(table), lifted
+
+    def assert_sweep(self, sympy, report, arity, want):
+        """A witness on exactly the tuples where want(*symbols) is nonzero,
+        equal to it there; every tuple of the window is checked."""
+        tuples = list(itertools.product([ModElement.of(g) for g in self.GENS], repeat=arity))
+        got = {t: to_sympy(sympy, r) for t, r in report.witnesses}
+        assert (report.checked, report.escaped) == (len(tuples), 0), report
+        assert got, report  # random rules: the law fails somewhere
+        for t in tuples:
+            w = want(*(mod_to_sympy(sympy, x) for x in t))
+            assert sympy.expand(got.get(t, 0) - w) == 0, (report.name, t)
+
+    @pytest.fixture
+    def all_witnesses(self, monkeypatch):
+        from conformal_kernel import algebra
+        monkeypatch.setattr(algebra, "MAX_WITNESSES", 100)
+
+    def laws(self, sympy):
+        """P(table, u, w, form) and the variables L, M."""
+        Ls, Ms = sympy.symbols("L M")
+        return (lambda t, u, w, f: self.sym_pair(sympy, t, u, w, f)), Ls, Ms
+
+    def test_module_laws(self, sympy, all_witnesses):
+        from conformal_kernel.constructors import ConformalModule, check_module
+
+        P, Ls, Ms = self.laws(sympy)
+        dag = -Ms - sympy.Symbol("D")
+        rng = random.Random(53)
+        (prod, tp), (br, tb) = self.rand_rule(rng), self.rand_rule(rng, "bracket")
+        (lft, tl), (rgt, tr), (lie, tq) = (self.rand_rule(rng, k) for k in ("left", "right", "lie"))
+        alg = ConformalAlgebra("r", [self.FAMILY], prod, br, KIND_NC_POISSON)
+        mod = ConformalModule("m", [self.FAMILY], lft, rgt, lie)
+        want = {
+            "module_assoc_left": lambda a, b, c: P(tl, P(tp, a, b, Ls), c, Ls + Ms) - P(tl, a, P(tl, b, c, Ms), Ls),
+            "module_assoc_right": lambda v, a, b: P(tr, P(tr, v, a, Ls), b, Ls + Ms) - P(tr, v, P(tp, a, b, Ms), Ls),
+            "module_assoc_mixed": lambda a, v, b: P(tr, P(tl, a, v, Ls), b, Ls + Ms) - P(tl, a, P(tr, v, b, Ms), Ls),
+            "module_lie": lambda a, b, v: (P(tq, P(tb, a, b, Ls), v, Ls + Ms) - P(tq, a, P(tq, b, v, Ms), Ls)
+                                           + P(tq, b, P(tq, a, v, Ls), Ms)),
+            "module_poisson_bracket_left": lambda a, b, v: (
+                P(tl, P(tb, a, b, Ls), v, Ls + Ms) - P(tq, a, P(tl, b, v, Ms), Ls) + P(tl, b, P(tq, a, v, Ls), Ms)),
+            "module_poisson_bracket_right": lambda v, a, b: (
+                P(tr, v, P(tb, a, b, Ls), Ms) - P(tq, a, P(tr, v, b, Ms), Ls) + P(tr, P(tq, a, v, Ls), b, Ls + Ms)),
+            "module_poisson_product_action": lambda a, b, v: (
+                P(tq, P(tp, a, b, Ls), v, dag) - P(tl, a, P(tq, b, v, dag), Ls)
+                - P(tr, P(tq, a, v, dag), b, Ls + Ms)),
+        }
+        reports = check_module(alg, mod, 2)
+        assert [r.name for r in reports] == list(want)
+        for r in reports:
+            self.assert_sweep(sympy, r, 3, want[r.name])
+
+    def test_gd_and_pgd_laws(self, sympy, all_witnesses):
+        from conformal_kernel.constructors import OrdinaryAlgebra, check_gd, check_pgd
+
+        P, Ls, Ms = self.laws(sympy)
+        rng = random.Random(59)
+        (star, ts), (prod, tp), (br, tb) = (self.rand_ord_rule(rng) for _ in range(3))
+        ord_ = OrdinaryAlgebra("r", [self.FAMILY], product=prod, bracket=br, star=star)
+
+        def assoc(t, a, b, c):
+            return P(t, a, P(t, b, c, Ms), Ls) - P(t, P(t, a, b, Ls), c, Ls + Ms)
+
+        r = sympy.Symbol("·r")
+        want = {
+            "novikov_right_commute": lambda a, b, c: (P(ts, P(ts, a, b, Ls), c, Ls + Ms)
+                                                      - P(ts, P(ts, a, c, Ls), b, Ls + Ms)),
+            "novikov_left_symmetry": lambda a, b, c: assoc(ts, b, a, c) - assoc(ts, a, b, c),
+            "gd_compatibility": lambda a, b, c: (
+                P(tb, P(ts, a, b, Ls), c, Ls + Ms) + P(ts, P(tb, a, b, Ls), c, Ls + Ms)
+                - P(ts, a, P(tb, b, c, Ms), Ls) - P(tb, P(ts, a, c, Ls), b, Ls + Ms)
+                - P(ts, P(tb, a, c, Ls), b, Ls + Ms)),
+            # both equalities of (b o c) * a = b o (c * a) = (b * a) o c, as rows
+            "pgd_right_compat": lambda a, b, c: (
+                P(ts, P(tp, b, c, Ls), a, Ls + Ms) - P(tp, b, P(ts, c, a, Ms), Ls)
+                + r * (P(ts, P(tp, b, c, Ls), a, Ls + Ms) - P(tp, P(ts, b, a, Ls), c, Ls + Ms))),
+            "pgd_left_derivation": lambda a, b, c: (
+                P(ts, a, P(tp, b, c, Ms), Ls) - P(tp, P(ts, a, b, Ls), c, Ls + Ms)
+                - P(tp, b, P(ts, a, c, Ls), Ms)),
+        }
+        reports = {r.name: r for r in check_pgd(ord_, 2)}
+        for name, law in want.items():
+            self.assert_sweep(sympy, reports[name], 3, law)
+
+    def test_linear_deformation_cross_laws(self, sympy, all_witnesses):
+        from conformal_kernel.deform import linear_deformation_check
+
+        P, Ls, Ms = self.laws(sympy)
+        rng = random.Random(61)
+        (prod, tp), (br, tb) = self.rand_rule(rng), self.rand_rule(rng, "bracket")
+        (varpi, tv), (omega, tw) = self.rand_rule(rng), self.rand_rule(rng, "bracket")
+        alg = ConformalAlgebra("r", [self.FAMILY], prod, br, KIND_NC_POISSON)
+        want = {
+            "cross_product_cocycle": lambda a, b, c: (
+                P(tv, a, P(tp, b, c, Ms), Ls) + P(tp, a, P(tv, b, c, Ms), Ls)
+                - P(tv, P(tp, a, b, Ls), c, Ls + Ms) - P(tp, P(tv, a, b, Ls), c, Ls + Ms)),
+            "cross_bracket_cocycle": lambda a, b, c: (
+                P(tw, P(tb, a, b, Ls), c, Ls + Ms) - P(tw, a, P(tb, b, c, Ms), Ls)
+                + P(tw, b, P(tb, a, c, Ls), Ms) - P(tb, a, P(tw, b, c, Ms), Ls)
+                + P(tb, P(tw, a, b, Ls), c, Ls + Ms) + P(tb, b, P(tw, a, c, Ls), Ms)),
+            "cross_mixed_cocycle": lambda a, b, c: (
+                P(tb, a, P(tv, b, c, Ms), Ls) - P(tv, P(tb, a, b, Ls), c, Ls + Ms)
+                - P(tv, b, P(tb, a, c, Ls), Ms) - P(tp, P(tw, a, b, Ls), c, Ls + Ms)
+                - P(tp, b, P(tw, a, c, Ls), Ms) + P(tw, a, P(tp, b, c, Ms), Ls)),
+        }
+        reports = {r.name: r for r in linear_deformation_check(alg, varpi, omega, 2)}
+        for name, law in want.items():
+            self.assert_sweep(sympy, reports[name], 3, law)
+
+    def test_convolution_and_obstruction(self, sympy):
+        from conformal_kernel.deform import DeformationSeries, _convolution_residual, obstruction
+
+        P, Ls, Ms = self.laws(sympy)
+        rng = random.Random(67)
+        rules = [self.rand_rule(rng) for _ in range(3)]
+        mu, t = [r for r, _ in rules], [t for _, t in rules]
+        ds = DeformationSeries(ConformalAlgebra("r", [self.FAMILY], mu[0], kind=KIND_ASSOCIATIVE), mu[1:])
+        for n in (1, 2):
+            for _ in range(2):
+                a, b, c = (self.small_lambda(rng, ()).coefficient(()) for _ in range(3))
+                sa, sb, sc = (mod_to_sympy(sympy, x) for x in (a, b, c))
+                conv = sum((P(t[r], sa, P(t[n - r], sb, sc, Ms), Ls)
+                            - P(t[r], P(t[n - r], sa, sb, Ls), sc, Ls + Ms) for r in range(n + 1)),
+                           sympy.Integer(0))
+                got = to_sympy(sympy, _convolution_residual(ds, n, a, b, c))
+                assert sympy.expand(got - conv) == 0, (n, a, b, c)
+        theta = obstruction(ds)  # theta_2, a sum over r + s = 3 with r, s >= 1
+        for gens in itertools.product(self.GENS, repeat=3):
+            sa, sb, sc = (sympy.Symbol(repr(g)) for g in gens)
+            want = sum((P(t[r], P(t[3 - r], sa, sb, Ls), sc, Ls + Ms)
+                        - P(t[r], sa, P(t[3 - r], sb, sc, Ms), Ls) for r in (1, 2)),
+                       sympy.Integer(0))
+            got = to_sympy(sympy, theta.value(gens).rename_context(("L", "M")))
+            assert sympy.expand(got - want) == 0, gens
