@@ -6,7 +6,17 @@ arbitrary module elements is the sesquilinear extension
 
     (D a) op_v b = -v * (a op_v b),        a op_v (D b) = (D + v) * (a op_v b),
 
-which holds by construction.  Axiom checkers sweep all generator tuples of a
+which holds by construction.  Every three-element identity (associativity,
+Jacobi, Leibniz, and the module, Gel'fand-Dorfman, deformation and cross laws
+built on them elsewhere) is a term table read by one evaluator,
+``nested_sum``.  A term is (shape, outer rule, inner rule, sign), with an
+optional item order for a term that reads the triple (a, b, c) permuted as
+(X, Y, Z); the three shapes
+
+    {X_L {Y_M Z}},    {{X_L Y}_{L+M} Z},    {Y_M {X_L Z}}
+
+fix where the spectral variables L and M go, and the terms sum into one
+accumulator per tuple.  Axiom checkers sweep all generator tuples of a
 finite window and report exact-zero residuals; a tuple whose evaluation needs
 a rule entry outside the declared window is counted as inconclusive, never
 silently skipped.
@@ -257,33 +267,54 @@ def eval_op(rule: StructureRule, a: ModElement, b: ModElement, var: str = L) -> 
     return pair(rule, const_lp(a), const_lp(b), var)
 
 
-# The three terms every associator-type identity is a signed sum of, each
-# added with a sign into the residual's accumulator in the context (L, M).  Each
-# takes the inner operation's value, so dagger-paired inner values fit too.
-
-def inner_first(acc: Accumulator, rule: StructureRule, X: LambdaPoly, V: LambdaPoly, sign=1):
-    """{X_L V} for an inner value V = {Y_M Z} in context (M,)."""
-    _pair_into(acc, rule, X, V, ({L: 1}, 0), sign)
+# the shapes of a term of a three-element identity; nested_sum lays out L and M
+INNER = "{X_L {Y_M Z}}"
+OUTER = "{{X_L Y}_{L+M} Z}"
+SWAP = "{Y_M {X_L Z}}"
 
 
-def outer_first(acc: Accumulator, rule: StructureRule, V: LambdaPoly, Z: LambdaPoly, sign=1):
-    """{V_{L+M} Z} for an inner value V = {X_L Y} in context (L,); a value in
-    (M,), such as a dagger pairing, is taken the same way."""
-    _pair_into(acc, rule, V, Z, ({L: 1, M: 1}, 0), sign)
+def nested_sum(terms: Iterable[tuple], a: ModElement, b: ModElement, c: ModElement) -> Accumulator:
+    """The sum of a term table at (a, b, c), unbuilt, in the context (L, M).
+    A term is (shape, outer rule, inner rule, sign), read with
+    (X, Y, Z) = (a, b, c); a fifth entry gives the positions in (a, b, c)
+    of X, Y and Z, for a term that reads the triple permuted."""
+    items = const_lp(a), const_lp(b), const_lp(c)
+    acc = Accumulator((L, M))
+    for shape, outer, inner, sign, *order in terms:
+        X, Y, Z = [items[i] for i in order[0]] if order else items
+        if shape == INNER:
+            _pair_into(acc, outer, X, pair(inner, Y, Z, M), ({L: 1}, 0), sign)
+        elif shape == OUTER:
+            _pair_into(acc, outer, pair(inner, X, Y, L), Z, ({L: 1, M: 1}, 0), sign)
+        else:
+            _pair_into(acc, outer, Y, pair(inner, X, Z, L), ({M: 1}, 0), sign)
+    return acc
 
 
-def swapped(acc: Accumulator, rule: StructureRule, Y: LambdaPoly, V: LambdaPoly, sign=1):
-    """{Y_M V} for an inner value V = {X_L Z} in context (L,)."""
-    _pair_into(acc, rule, Y, V, ({M: 1}, 0), sign)
+def table_residual(terms: Sequence[tuple]) -> Callable[..., LambdaPoly]:
+    """(a, b, c) -> the built sum of the term table, for run_tuple_check."""
+    return lambda a, b, c: nested_sum(terms, a, b, c).build()
 
 
-def stack_rows(rows: Sequence[LambdaPoly]) -> LambdaPoly:
+def associator(p: StructureRule) -> tuple:
+    """{a_L {b_M c}} - {{a_L b}_{L+M} c} for the product p."""
+    return ((INNER, p, p, 1), (OUTER, p, p, -1))
+
+
+def leibniz(p: StructureRule, b: StructureRule) -> tuple:
+    """{a_L {b_M c}_p}_b - {{a_L b}_b _{L+M} c}_p - {b_M {a_L c}_b}_p: the
+    bracket b acts on the product p as a derivation.  Jacobi is leibniz(b, b)."""
+    return ((INNER, b, p, 1), (OUTER, p, b, -1), (SWAP, p, b, -1))
+
+
+def stack_rows(rows: Sequence[LambdaPoly | Accumulator]) -> LambdaPoly:
     """Several residual rows of one context as one value: row k times
-    ·r^k for a marker variable ·r, zero exactly when every row is."""
-    ctx = rows[0].context + ("·r",)
-    acc = Accumulator(ctx)
+    ·r^k for a marker variable ·r, zero exactly when every row is.  A row
+    may be an Accumulator, read before its build."""
+    acc = Accumulator(rows[0].context + ("·r",))
     for k, row in enumerate(rows):
-        acc.add_lp(row.align(ctx).mul_var("·r", k))
+        for exp, b in row.data.items():
+            _merge(acc.data, exp + (k,), b)
     return acc.build()
 
 
@@ -306,10 +337,6 @@ class CheckReport:
     checked: int = 0
     escaped: int = 0
     notes: list[str] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return self.status == PASS
 
     def coverage(self) -> str:
         return f"checked={self.checked} escaped={self.escaped}"
@@ -397,11 +424,7 @@ class ConformalAlgebra:
 # residuals ------------------------------------------------------------------
 
 def _triple_assoc_residual(prod: StructureRule, a, b, c) -> LambdaPoly:
-    A, B, C = const_lp(a), const_lp(b), const_lp(c)
-    acc = Accumulator((L, M))
-    inner_first(acc, prod, A, pair(prod, B, C, M))
-    outer_first(acc, prod, pair(prod, A, B, L), C, -1)
-    return acc.build()
+    return nested_sum(associator(prod), a, b, c).build()
 
 
 def _pair_comm_residual(prod: StructureRule, sign: int, a, b) -> LambdaPoly:
@@ -417,12 +440,7 @@ def _triple_jacobi_residual(br: StructureRule, a, b, c) -> LambdaPoly:
 
 
 def _triple_leibniz_residual(prod: StructureRule, br: StructureRule, a, b, c) -> LambdaPoly:
-    A, B, C = const_lp(a), const_lp(b), const_lp(c)
-    acc = Accumulator((L, M))
-    inner_first(acc, br, A, pair(prod, B, C, M))
-    outer_first(acc, prod, pair(br, A, B, L), C, -1)
-    swapped(acc, prod, B, pair(br, A, C, L), -1)
-    return acc.build()
+    return nested_sum(leibniz(prod, br), a, b, c).build()
 
 
 def _mods(gens: list[GenIndex]) -> list[ModElement]:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import suppress
 
 from .algebra import PreconditionFailed, check_poisson, check_suite, sweep_status
 from .cohomology import AnsatzBounds, check_action_module_laws, check_complex_identities
@@ -81,7 +82,8 @@ def run(command: str, man, args) -> list:
         reports.append(coeff_derivation_check(alg, ModeWindow(lo, hi, max(1, window - 1))))
         reports.append(annihilation_relations_check(alg, mw, seed=args.seed))
         reports.append(binomial_identity_check(8, 8))
-        reports.append(closed_form_comparison(alg, mw))
+        with suppress(PreconditionFailed):  # left out unless one 1-parameter family
+            reports.append(closed_form_comparison(alg, mw))
         return reports
 
     if command == "cohomology":

@@ -21,6 +21,7 @@ from .algebra import (
     CheckReport,
     ConformalAlgebra,
     PASS,
+    PreconditionFailed,
     StructureRule,
     WindowEscape,
     run_tuple_check,
@@ -330,12 +331,11 @@ def closed_form_comparison(alg: ConformalAlgebra, window: ModeWindow) -> CheckRe
     """For a single 1-parameter family with a quadratic bracket, compare the
     computed bracket constants against the two rival closed forms
     (l*m - k*n) and (k*m - l*n) on (x^k)_m, (x^l)_n and report which matches.
+    Raises PreconditionFailed on any other algebra.
     """
-    fams = [f for f in alg.families if f.arity == 1]
-    if len(fams) != 1 or len(alg.families) != 1:
-        return CheckReport("closed_form_comparison", PASS,
-                           notes=["not applicable: needs a single 1-parameter family"])
-    fam = fams[0]
+    if len(alg.families) != 1 or alg.families[0].arity != 1:
+        raise PreconditionFailed("the closed forms need a single 1-parameter family")
+    fam = alg.families[0]
     ca = CoeffAlgebra(alg)
     match_lm_kn = True
     match_km_ln = True

@@ -785,7 +785,6 @@ class AnsatzBounds:
     d_deg: int
     l_deg: int
     param_deg: int = 2
-    max_shift: int | None = None
 
 
 def cochain_basis(m: int, n: int, families, bounds: AnsatzBounds) -> list[Cochain]:
@@ -793,9 +792,10 @@ def cochain_basis(m: int, n: int, families, bounds: AnsatzBounds) -> list[Cochai
 
         (prod p_i^{d_i}) * (slot-var monomial) * D^beta * x[sum p_i - shift]
 
-    and zero where x[sum p_i - shift] is outside the family, with the
-    bracket-type slots antisymmetrized when m >= 2.  Distinct monomial
-    supports keep the elements linearly independent.
+    for shifts 0 .. d_deg + l_deg, and zero where x[sum p_i - shift] is
+    outside the family, with the bracket-type slots antisymmetrized when
+    m >= 2.  Distinct monomial supports keep the elements linearly
+    independent.
     """
     if bounds is None:
         raise UnboundedAnsatz("coboundary solving needs finite ansatz bounds")
@@ -805,7 +805,6 @@ def cochain_basis(m: int, n: int, families, bounds: AnsatzBounds) -> list[Cochai
     fam = fams[0]
     s = m + n
     nvars = s - 1
-    max_shift = bounds.max_shift if bounds.max_shift is not None else bounds.d_deg + bounds.l_deg
     out = []
 
     param_exps = [pe for pe in itertools.product(range(bounds.param_deg + 1), repeat=s)
@@ -816,7 +815,7 @@ def cochain_basis(m: int, n: int, families, bounds: AnsatzBounds) -> list[Cochai
     for pe in param_exps:
         for ve in var_exps:
             for beta in range(bounds.d_deg + 1):
-                for shift in range(max_shift + 1):
+                for shift in range(bounds.d_deg + bounds.l_deg + 1):
                     def raw(gens, pe=pe, ve=ve, beta=beta, shift=shift):
                         ps = [g.params[0] for g in gens]
                         tgt = sum(ps) - shift

@@ -16,7 +16,10 @@ from functools import partial
 from typing import Callable
 
 from .algebra import (
+    INNER,
+    OUTER,
     RULE_VAR,
+    SWAP,
     CheckReport,
     ConformalAlgebra,
     GenFamily,
@@ -28,19 +31,17 @@ from .algebra import (
     WindowEscape,
     _pair_comm_residual,
     _pair_into,
-    _triple_assoc_residual,
     _triple_jacobi_residual,
     _triple_leibniz_residual,
     const_lp,
     eval_op,
-    inner_first,
-    outer_first,
+    nested_sum,
     pair,
     pair_at,
     run_tuple_check,
     stack_rows,
     suite_fails,
-    swapped,
+    table_residual,
     window_generators,
 )
 from .symcore import Accumulator, GenIndex, LambdaPoly, ModElement
@@ -115,7 +116,8 @@ def _sweep(ord_: OrdinaryAlgebra, window: int, checks) -> list[CheckReport]:
 def check_ordinary_poisson(ord_: OrdinaryAlgebra, window: int, commutative: bool = True) -> list[CheckReport]:
     prod, br = _lift(ord_.product, "product"), _lift(ord_.bracket, "bracket")
     # (ab)c - a(bc): the witnesses of ord_associativity carry this sign
-    checks = [("ord_associativity", 3, lambda a, b, c: -_triple_assoc_residual(prod, a, b, c))]
+    assoc = ((OUTER, prod, prod, 1), (INNER, prod, prod, -1))
+    checks = [("ord_associativity", 3, table_residual(assoc))]
     if commutative:
         checks.append(("ord_commutativity", 2, partial(_pair_comm_residual, prod, +1)))
     checks += [
@@ -129,47 +131,34 @@ def check_ordinary_poisson(ord_: OrdinaryAlgebra, window: int, commutative: bool
 def check_gd(ord_: OrdinaryAlgebra, window: int = 3) -> list[CheckReport]:
     """Novikov + Lie + Gel'fand-Dorfman compatibility."""
     star, br = _lift(ord_.star, "star"), _lift(ord_.bracket, "bracket")
-
-    def right_commute(a, b, c):  # (a * b) * c = (a * c) * b
-        A, B, C = const_lp(a), const_lp(b), const_lp(c)
-        acc = Accumulator((L, M))
-        outer_first(acc, star, pair(star, A, B, L), C)
-        outer_first(acc, star, pair(star, A, C, L), B, -1)
-        return acc.build()
-
-    def gd(a, b, c):  # [a * b, c] + [a, b] * c = a * [b, c] + [a * c, b] + [a, c] * b
-        A, B, C = const_lp(a), const_lp(b), const_lp(c)
-        acc = Accumulator((L, M))
-        outer_first(acc, br, pair(star, A, B, L), C)
-        outer_first(acc, star, pair(br, A, B, L), C)
-        inner_first(acc, star, A, pair(br, B, C, M), -1)
-        outer_first(acc, br, pair(star, A, C, L), B, -1)
-        outer_first(acc, star, pair(br, A, C, L), B, -1)
-        return acc.build()
-
+    acb, bac = (0, 2, 1), (1, 0, 2)  # the triple read as (a, c, b) and as (b, a, c)
+    # (a * b) * c = (a * c) * b
+    right_commute = ((OUTER, star, star, 1), (OUTER, star, star, -1, acb))
+    # the associator of * is symmetric in a and b
+    left_symmetry = ((INNER, star, star, 1, bac), (OUTER, star, star, -1, bac),
+                     (INNER, star, star, -1), (OUTER, star, star, 1))
+    # [a * b, c] + [a, b] * c = a * [b, c] + [a * c, b] + [a, c] * b
+    gd = ((OUTER, br, star, 1), (OUTER, star, br, 1), (INNER, star, br, -1),
+          (OUTER, br, star, -1, acb), (OUTER, star, br, -1, acb))
     return _sweep(ord_, window, [
-        ("novikov_right_commute", 3, right_commute),
-        ("novikov_left_symmetry", 3, lambda a, b, c: (_triple_assoc_residual(star, b, a, c)
-                                                      - _triple_assoc_residual(star, a, b, c))),
+        ("novikov_right_commute", 3, table_residual(right_commute)),
+        ("novikov_left_symmetry", 3, table_residual(left_symmetry)),
         ("lie_antisymmetry", 2, partial(_pair_comm_residual, br, -1)),
         ("lie_jacobi", 3, partial(_triple_jacobi_residual, br)),
-        ("gd_compatibility", 3, gd),
+        ("gd_compatibility", 3, table_residual(gd)),
     ])
 
 
 def check_pgd(ord_: OrdinaryAlgebra, window: int = 3, commutative: bool = True) -> list[CheckReport]:
     """GD + ordinary Poisson + the two product/star compatibility laws."""
     star, prod = _lift(ord_.star, "star"), _lift(ord_.product, "product")
+    # both equalities of (b o c) * a = b o (c * a) = (b * a) o c, as rows
+    bca = (OUTER, star, prod, 1, (1, 2, 0))
+    rows = ((bca, (INNER, prod, star, -1, (1, 2, 0))),
+            (bca, (OUTER, prod, star, -1, (1, 0, 2))))
 
     def right_compat(a, b, c):
-        # both equalities of (b o c) * a = b o (c * a) = (b * a) o c, as rows
-        A, B, C = const_lp(a), const_lp(b), const_lp(c)
-        rows = [Accumulator((L, M)), Accumulator((L, M))]
-        for acc in rows:
-            outer_first(acc, star, pair(prod, B, C, L), A)
-        inner_first(rows[0], prod, B, pair(star, C, A, M), -1)
-        outer_first(rows[1], prod, pair(star, B, A, L), C, -1)
-        return stack_rows([acc.build() for acc in rows])
+        return stack_rows([nested_sum(row, a, b, c) for row in rows])
 
     return check_gd(ord_, window) + check_ordinary_poisson(ord_, window, commutative) + _sweep(
         ord_, window, [
@@ -340,74 +329,47 @@ def check_module(alg: ConformalAlgebra, mod: ConformalModule, window: int = 3) -
     """Verify the module axiom set matching the declared kind on the window."""
     agens = [ModElement.of(g) for g in alg.generators(window)]
     vgens = [ModElement.of(g) for g in mod.generators(window)]
-    reports: list[CheckReport] = []
+    prod, br, lft, rgt, lie = alg.product, alg.bracket, mod.left, mod.right, mod.lie
+    laws = []  # (name, the sets the triple is drawn from, term table)
 
     if mod.kind in (ASSOC_MODULE, POISSON_MODULE):
-        prod, lft, rgt = alg.product, mod.left, mod.right
-
-        def assoc(r_ab, r_out, r_bc, r_in):
-            def residual(a, b, c):  # {a_L b}_{L+M} c - a_L {b_M c}
-                A, B, C = const_lp(a), const_lp(b), const_lp(c)
-                acc = Accumulator((L, M))
-                outer_first(acc, r_out, pair(r_ab, A, B, L), C)
-                inner_first(acc, r_in, A, pair(r_bc, B, C, M), -1)
-                return acc.build()
-            return residual
-
-        for name, sets, rules in (("module_assoc_left", (agens, agens, vgens), (prod, lft, lft, lft)),
-                                  ("module_assoc_right", (vgens, agens, agens), (rgt, rgt, prod, rgt)),
-                                  ("module_assoc_mixed", (agens, vgens, agens), (lft, rgt, rgt, lft))):
-            reports.append(run_tuple_check(name, itertools.product(*sets), assoc(*rules)))
+        # {a_L b}_{L+M} c - a_L {b_M c}
+        for name, sets, (r_ab, r_out, r_bc, r_in) in (
+                ("module_assoc_left", (agens, agens, vgens), (prod, lft, lft, lft)),
+                ("module_assoc_right", (vgens, agens, agens), (rgt, rgt, prod, rgt)),
+                ("module_assoc_mixed", (agens, vgens, agens), (lft, rgt, rgt, lft))):
+            laws.append((name, sets, ((OUTER, r_out, r_ab, 1), (INNER, r_in, r_bc, -1))))
 
     if mod.kind in (LIE_MODULE, POISSON_MODULE):
-        br, lie = alg.bracket, mod.lie
-
-        def lie_axiom(a, b, v):
-            A, B, V = const_lp(a), const_lp(b), const_lp(v)
-            acc = Accumulator((L, M))
-            outer_first(acc, lie, pair(br, A, B, L), V)
-            inner_first(acc, lie, A, pair(lie, B, V, M), -1)
-            swapped(acc, lie, B, pair(lie, A, V, L))
-            return acc.build()
-
-        reports.append(run_tuple_check(
-            "module_lie", itertools.product(agens, agens, vgens), lie_axiom))
+        # [a_L b]_{L+M} v = a_L (b_M v) - b_M (a_L v)
+        laws.append(("module_lie", (agens, agens, vgens),
+                     ((OUTER, lie, br, 1), (INNER, lie, lie, -1), (SWAP, lie, lie, 1))))
 
     if mod.kind == POISSON_MODULE:
-        prod, br = alg.product, alg.bracket
-        lft, rgt, lie = mod.left, mod.right, mod.lie
-
-        def poisson1(a, b, v):
+        vab = (1, 0, 2)  # the triple (v, a, b) read as (a, v, b)
+        laws += [
             # [a_L b] o_{L+M} v = a_L (b o_M v) - b o_M (a_L v)
-            A, B, V = const_lp(a), const_lp(b), const_lp(v)
-            acc = Accumulator((L, M))
-            outer_first(acc, lft, pair(br, A, B, L), V)
-            inner_first(acc, lie, A, pair(lft, B, V, M), -1)
-            swapped(acc, lft, B, pair(lie, A, V, L))
-            return acc.build()
-
-        def poisson2(v, a, b):
+            ("module_poisson_bracket_left", (agens, agens, vgens),
+             ((OUTER, lft, br, 1), (INNER, lie, lft, -1), (SWAP, lft, lie, 1))),
             # v o_M [a_L b] = a_L (v o_M b) - (a_L v) o_{L+M} b
-            V, A, B = const_lp(v), const_lp(a), const_lp(b)
-            acc = Accumulator((L, M))
-            swapped(acc, rgt, V, pair(br, A, B, L))
-            inner_first(acc, lie, A, pair(rgt, V, B, M), -1)
-            outer_first(acc, rgt, pair(lie, A, V, L), B)
-            return acc.build()
+            ("module_poisson_bracket_right", (vgens, agens, agens),
+             ((SWAP, rgt, br, 1, vab), (INNER, lie, rgt, -1, vab), (OUTER, rgt, lie, 1, vab))),
+        ]
 
+    reports = [run_tuple_check(name, itertools.product(*sets), table_residual(terms))
+               for name, sets, terms in laws]
+
+    if mod.kind == POISSON_MODULE:
         def poisson3(a, b, v):
-            # (a o_L b)_{-M-D} v = a o_L (b_{-M-D} v) + (a_{-M-D} v) o_{L+M} b
+            # (a o_L b)_{-M-D} v = a o_L (b_{-M-D} v) + (a_{-M-D} v) o_{L+M} b: the
+            # inner pairings sit at the dagger form, outside the term shapes
             A, B, V = const_lp(a), const_lp(b), const_lp(v)
             acc = Accumulator((L, M))
             _pair_into(acc, lie, pair(prod, A, B, L), V, ({M: -1}, -1))
-            inner_first(acc, lft, A, pair_at(lie, B, V, ({M: -1}, -1), (M,)), -1)
-            outer_first(acc, rgt, pair_at(lie, A, V, ({M: -1}, -1), (M,)), B, -1)
+            _pair_into(acc, lft, A, pair_at(lie, B, V, ({M: -1}, -1), (M,)), ({L: 1}, 0), -1)
+            _pair_into(acc, rgt, pair_at(lie, A, V, ({M: -1}, -1), (M,)), B, ({L: 1, M: 1}, 0), -1)
             return acc.build()
 
-        reports.append(run_tuple_check(
-            "module_poisson_bracket_left", itertools.product(agens, agens, vgens), poisson1))
-        reports.append(run_tuple_check(
-            "module_poisson_bracket_right", itertools.product(vgens, agens, agens), poisson2))
         reports.append(run_tuple_check(
             "module_poisson_product_action", itertools.product(agens, agens, vgens), poisson3))
 

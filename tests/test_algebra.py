@@ -290,6 +290,31 @@ class TestPairingKernel:
         assert calls["substitute"] == 0
         assert calls["build"] <= 2 * checked, (calls, checked)
 
+    def test_every_table_term_counts(self, monkeypatch):
+        # negating any one term of the associator or the Leibniz table
+        # (Jacobi is leibniz(br, br)) breaks the sweep of a Poisson algebra
+        import os
+
+        from conformal_kernel import algebra
+        from conformal_kernel.manifest import parse_file
+
+        alg = parse_file(os.path.join(os.path.dirname(__file__), "..", "demos", "ex2_17.alg")).algebra()
+        assert suite_passes(check_poisson(alg, window=2))
+        for name, rules, broken in (("associator", (alg.product,), {"associativity"}),
+                                    ("leibniz", (alg.product, alg.bracket), {"jacobi", "leibniz"})):
+            table = getattr(algebra, name)
+            for k in range(len(table(*rules))):
+                def negated(*rs, k=k, table=table):
+                    terms = list(table(*rs))
+                    shape, outer, inner, sign, *order = terms[k]
+                    terms[k] = (shape, outer, inner, -sign, *order)
+                    return terms
+
+                monkeypatch.setattr(algebra, name, negated)
+                failed = {r.name for r in check_poisson(alg, window=2) if r.status == "fail"}
+                assert failed == broken, (name, k, failed)
+                monkeypatch.setattr(algebra, name, table)
+
     def test_pair_at_names_a_missing_form_variable(self):
         alg = poly_poisson()
         U, W = (LambdaPoly.of(("a",), ModElement.of(xg(1))) for _ in range(2))

@@ -2,7 +2,9 @@ import itertools
 from fractions import Fraction as Q
 from math import factorial
 
-from conformal_kernel.algebra import ConformalAlgebra, eval_op, suite_passes
+import pytest
+
+from conformal_kernel.algebra import ConformalAlgebra, PreconditionFailed, eval_op, suite_passes
 from conformal_kernel.coeff import (
     CoeffAlgebra,
     CoeffElement,
@@ -198,8 +200,8 @@ class TestClosedFormNote:
                                product=ord_table({(e1, e1): ModElement.of(e1)}),
                                bracket=ord_table({}))
         alg = current_algebra(ord_)
-        rep = closed_form_comparison(alg, ModeWindow(-1, 1, 0))
-        assert "not applicable" in rep.notes[0]
+        with pytest.raises(PreconditionFailed, match="single 1-parameter family"):
+            closed_form_comparison(alg, ModeWindow(-1, 1, 0))
 
 
 class TestComposedCoefficientConformal:

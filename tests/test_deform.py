@@ -345,6 +345,27 @@ class TestNijenhuis:
         assert suite_passes(reports) and checked == 18
         assert len(builds) <= 2 * checked, (len(builds), checked)
 
+    def test_stacked_rows_build_once_per_tuple(self, monkeypatch):
+        # the rows of a stacked residual stay unbuilt until the stack: with
+        # the rule caches warm, one build a tuple
+        from conformal_kernel.symcore import Accumulator
+
+        manifest = parse_file(os.path.join(DEMOS, "ex2_17.alg"))
+        P, N = manifest.algebra(), manifest.nijenhuis()
+        defd = nijenhuis_deform(P, N, 2, precheck=False)
+        checks = [lambda: nijenhuis_homomorphism_check(P, defd, N, 2),
+                  lambda: trivial_deformation_check(P, defd.product, defd.bracket, N, 2)]
+        for check in checks:
+            check()  # fills the rule caches
+        builds = []
+        real_build = Accumulator.build
+        monkeypatch.setattr(Accumulator, "build", lambda acc: builds.append(1) or real_build(acc))
+        for check in checks:
+            builds.clear()
+            rep = check()
+            assert (rep.status, rep.checked) == ("pass", 9)
+            assert len(builds) == 9, (rep.name, len(builds))
+
     def test_deformed_algebra_passes_and_homomorphism(self):
         P = poly_poisson()
         N = LinearRule(lambda g: ModElement.of(xg(g.params[0] + 1)))

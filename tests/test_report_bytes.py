@@ -23,6 +23,8 @@ CASES = {
     "check_ex2_17_swapped": ["check", "demos/ex2_17_swapped.alg"],
     "check_mat2": ["check", "demos/mat2.alg"],
     "coeff_ex2_17": ["coeff", "demos/ex2_17.alg", "--modes=-3..3", "--window", "4"],
+    # not one 1-parameter family: the closed-form comparison is left out
+    "coeff_mat2": ["coeff", "demos/mat2.alg", "--modes=-2..2", "--window", "2"],
     "cohomology_ex2_17": ["cohomology", "demos/ex2_17.alg", "--d2-samples", "2", "--seed", "7"],
     # capped at max 3: most bicomplex tuples escape, and the counts are pinned
     "cohomology_ex2_17_max3": ["cohomology", "tests/manifests/ex2_17_max3.alg",
