@@ -126,6 +126,16 @@ class TestDifferentialBasics:
         want = eval_op(P.product, ModElement.of(xg(1)), ModElement.of(xg(1)), "c1")
         assert got == want
 
+    def test_value_with_variables_beyond_the_forms_raises(self):
+        # a (0, 2)-cochain is read at one slot form plus the final slot's:
+        # a value carrying two more variables than its context has no form
+        # for the last one, and its exponents must not be dropped
+        ctx = canon_vars(1) + ("z", "w")
+        coch = Cochain(0, 2, lambda gens: LambdaPoly(ctx, {(0, 1, 1): {(xg(0), 0): 1}}))
+        with pytest.raises(ValueError):
+            cohomology.eval_cochain(coch, cohomology._gen_args([xg(0), xg(1)]),
+                                    [({"a": 1}, 0)], ("a",))
+
 
 class TestComplexIdentities:
     def test_suite_passes(self, setup):
