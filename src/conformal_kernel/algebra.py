@@ -34,7 +34,6 @@ from .symcore import (
     GenIndex,
     LambdaPoly,
     ModElement,
-    _dshift,
     _merge,
     form_power,
     shifted_action,
@@ -195,10 +194,14 @@ class LinearRule:
         return v
 
     def apply(self, e: ModElement) -> ModElement:
-        return ModElement.combine((self.entry(g), k, c) for (g, k), c in e.bucket.items())
+        """The map on e; a zero scalar (a cancelled term of an unbuilt
+        bucket) is skipped, not looked up."""
+        return ModElement.combine((self.entry(g), k, c) for (g, k), c in e.bucket.items() if c)
 
-    def apply_lp(self, p: LambdaPoly) -> LambdaPoly:
-        return p.apply_mod(self.apply)
+    def apply_lp(self, p: LambdaPoly | Accumulator) -> LambdaPoly:
+        """The map on every coefficient of p; p may be an Accumulator, read
+        before its build."""
+        return LambdaPoly.apply_mod(p, self.apply)
 
 
 # ---------------------------------------------------------------------------
@@ -254,8 +257,7 @@ def _pair_into(acc: Accumulator, rule: StructureRule, U: LambdaPoly, W: LambdaPo
                 if got is None:
                     got = powers[k + p] = form_power(ctx, form, k + p)
                 for c, inc, kd in got:
-                    _merge(data, inc if plain else tuple(map(add, mono, inc)),
-                           _dshift(b, kd), c12 * c)
+                    _merge(data, inc if plain else tuple(map(add, mono, inc)), b, c12 * c, kd)
 
 
 def const_lp(e: ModElement, context: tuple[str, ...] = ()) -> LambdaPoly:

@@ -98,6 +98,9 @@ class Cochain:
         got = self._cache.get(gens)
         if got is None:
             got = self._value(gens)
+            if got.context != self.context:
+                raise ValueError(f"cochain value in context {got.context}, "
+                                 f"expected {self.context}")
             self._cache[gens] = got
         return got
 
@@ -161,32 +164,36 @@ def eval_cochain(coch: Cochain, args: Sequence[LambdaPoly],
     as (D + sum of the forms + sum of the extras)^k on the substituted
     value, so at a dagger form -(sum of the others) - D it collapses.
     """
+    return _eval_into(Accumulator(ctx), coch, args, forms).build()
+
+
+def _eval_into(acc: Accumulator, coch: Cochain, args: Sequence[LambdaPoly],
+               forms: Sequence[tuple[dict[str, int], int]], scale=1) -> Accumulator:
+    """acc += scale * eval_cochain(coch, args, forms, acc.context); returns
+    acc.  Each combination of argument terms expands the cochain's value
+    straight into acc, at its scalar times its monomial."""
     s = coch.slots
     if len(args) != s or len(forms) != s - 1:
         raise ValueError("arity mismatch in eval_cochain")
+    ctx = acc.context
     # one form per variable of coch.context, then the final slot's
     fs = tuple(forms) + tuple(({e: 1}, 0) for e in coch.extra)
     fs += (({u: t for u in ctx if (t := sum(c.get(u, 0) for c, _d in fs))},
             1 + sum(d for _c, d in fs)),)
+    pad = (0,) * len(coch.extra)
     positions = [_positions(a.context, ctx) for a in args]
-    acc = Accumulator(ctx)
-    values: dict[tuple, Accumulator] = {}  # (gens, D-powers) -> value in ctx
     for combo in itertools.product(*[a.flat() for a in args]):
-        gens = tuple(t[1] for t in combo)
         ks = tuple(t[2] for t in combo)
-        val = values.get((gens, ks))
-        if val is None:
-            # D^k on non-final slot p is (-f_p)^k: k more powers of f_p
-            val = values[gens, ks] = _expand(Accumulator(ctx), coch.value(gens), fs,
-                                             ks[:-1] + (0,) * len(coch.extra) + ks[-1:])
-        scalar = -1 if sum(ks[:-1]) % 2 else 1
+        # D^k on non-final slot p is (-f_p)^k: k more powers of f_p
+        scalar = -scale if sum(ks[:-1]) % 2 else scale
         mono = [0] * len(ctx)
         for (exp, _g, _k, c), pos in zip(combo, positions):
             scalar *= c
             for p, e in zip(pos, exp):
                 mono[p] += e
-        acc.add_lp(val, scalar, tuple(mono))
-    return acc.build()
+        _expand(acc, coch.value(tuple(t[1] for t in combo)), fs, ks[:-1] + pad + ks[-1:],
+                scalar, tuple(mono) if any(mono) else None)
+    return acc
 
 
 def _plain(names: Sequence[str]) -> list[tuple[dict[str, int], int]]:
@@ -211,6 +218,13 @@ def _eval_pair_in_slot(gamma: Cochain, rule: StructureRule, items: Sequence[Lamb
     B's slot form is ivars[i] + ivars[j] and its pair variable v is
     ivars[i] itself (no output variable occurs in the items' context).
     """
+    return _pair_in_slot_into(Accumulator(ctx), gamma, rule, items, ivars, layout).build()
+
+
+def _pair_in_slot_into(acc: Accumulator, gamma: Cochain, rule: StructureRule,
+                       items: Sequence[LambdaPoly], ivars: Sequence[str | None],
+                       layout: Sequence, scale=1) -> Accumulator:
+    """acc += scale * _eval_pair_in_slot(..., acc.context); returns acc."""
     (i, j), = [slot for slot in layout if isinstance(slot, tuple)]
     B = pair(rule, items[i], items[j], ivars[i])
     args = [B if slot == (i, j) else items[slot] for slot in layout]
@@ -218,7 +232,7 @@ def _eval_pair_in_slot(gamma: Cochain, rule: StructureRule, items: Sequence[Lamb
     forms = [({ivars[i]: 1, ivars[j]: 1}, 0) if slot == (i, j)
              else dagger if ivars[slot] is None else ({ivars[slot]: 1}, 0)
              for slot in layout[:-1]]  # the final slot carries no variable
-    return eval_cochain(gamma, args, forms, ctx)
+    return _eval_into(acc, gamma, args, forms, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -250,8 +264,7 @@ def d_h(P: ConformalAlgebra, V: ConformalModule, gamma: Cochain) -> Cochain:
         for i in range(1, n + 1):
             p = m + i - 1
             layout = [*range(p), (p, p + 1), *range(p + 2, m + n + 1)]
-            out.add(_eval_pair_in_slot(gamma, P.product, items, ivars, layout, out_vars),
-                    (-1) ** i)
+            _pair_in_slot_into(out, gamma, P.product, items, ivars, layout, (-1) ** i)
 
         # gamma(x's; a1..a_n) o_(flat) a_{n+1}, sign (-1)^{n+1}
         w = eval_cochain(gamma, _gen_args(xs + asr[:n]), _plain(xvars + avars[:n - 1]), out_vars)
@@ -287,8 +300,8 @@ def _d_ce_lie(P: ConformalAlgebra, V: ConformalModule, gamma: Cochain) -> Cochai
         for i in range(1, k + 1):
             for j in range(i + 1, k + 1):
                 layout = [t for t in range(k) if t not in (i - 1, j - 1)] + [k, (i - 1, j - 1)]
-                out.add(_eval_pair_in_slot(gamma, P.bracket, items, ivars, layout, out_vars),
-                        (-1) ** (k + i + j + 1))
+                _pair_in_slot_into(out, gamma, P.bracket, items, ivars, layout,
+                                   (-1) ** (k + i + j + 1))
 
         # a_{k+1} at dagger acting on gamma(a_1..a_k)
         inner = eval_cochain(gamma, _gen_args(gens[:k]), _plain(out_vars[:k - 1]), out_vars)
@@ -298,8 +311,7 @@ def _d_ce_lie(P: ConformalAlgebra, V: ConformalModule, gamma: Cochain) -> Cochai
         # gamma(.. hat i .., [a_i a_{k+1}])
         for i in range(1, k + 1):
             layout = [t for t in range(k) if t != i - 1] + [(i - 1, k)]
-            out.add(_eval_pair_in_slot(gamma, P.bracket, items, ivars, layout, out_vars),
-                    (-1) ** i)
+            _pair_in_slot_into(out, gamma, P.bracket, items, ivars, layout, (-1) ** i)
 
         return out.build()
 
@@ -331,16 +343,14 @@ def _d_ce_mixed(P: ConformalAlgebra, V: ConformalModule, gamma: Cochain) -> Coch
             for j in range(1, n + 1):
                 layout = [t for t in range(m + 1) if t != i - 1] + [*range(m + 1, m + j)] \
                     + [(i - 1, m + j), *range(m + j + 1, m + n + 1)]
-                out.add(_eval_pair_in_slot(gamma, P.bracket, items, ivars, layout, out_vars),
-                        -sign_i)
+                _pair_in_slot_into(out, gamma, P.bracket, items, ivars, layout, -sign_i)
 
         # [x_i x_j] placed in the first bracket-type slot
         for i in range(1, m + 2):
             for j in range(i + 1, m + 2):
                 layout = [(i - 1, j - 1)] + [t for t in range(m + 1) if t not in (i - 1, j - 1)] \
                     + [*range(m + 1, m + n + 1)]
-                out.add(_eval_pair_in_slot(gamma, P.bracket, items, ivars, layout, out_vars),
-                        (-1) ** (i + j))
+                _pair_in_slot_into(out, gamma, P.bracket, items, ivars, layout, (-1) ** (i + j))
 
         return out.build()
 
@@ -432,7 +442,7 @@ def hochschild_action_value(P: ConformalAlgebra, V: ConformalModule, gamma: Coch
     items, ivars = [x_lp] + _gen_args(gens, c0), (var,) + base + (None,)
     for i in range(1, s + 1):
         layout = [*range(1, i), (0, i), *range(i + 1, s + 1)]
-        acc.add(_eval_pair_in_slot(gamma, P.bracket, items, ivars, layout, full), -1)
+        _pair_in_slot_into(acc, gamma, P.bracket, items, ivars, layout, -1)
     return acc.build()
 
 
@@ -497,9 +507,9 @@ def symmetrize(raw: Callable[[tuple[GenIndex, ...]], LambdaPoly], m: int, n: int
         for perm in itertools.permutations(range(m)):
             order = list(perm) + list(range(m, s))
             v = raw(tuple(gens[order[j]] for j in range(s)))
-            forms = {base[j]: ({base[order[j]]: 1}, 0) if order[j] <= s - 2 else dagger
-                     for j in range(s - 1)}
-            acc.add(substitute(v, forms, base), _perm_sign(perm))
+            forms = tuple(({base[order[j]]: 1}, 0) if order[j] <= s - 2 else dagger
+                          for j in range(s - 1))
+            _expand(acc, v, forms, (), _perm_sign(perm))
         return acc.build()
 
     return sym_value

@@ -360,7 +360,7 @@ def nijenhuis_check(P: ConformalAlgebra, N: LinearRule, window: int = 3) -> list
 
         def residual(a, b, rule=rule):
             deformed = _deformed_product(Accumulator((RULE_VAR,)), rule, N, a, b, RULE_VAR, 1)
-            return _minus_images(N.apply_lp(deformed.build()), rule, N, a, b).build()
+            return _minus_images(N.apply_lp(deformed), rule, N, a, b).build()
 
         reports.append(run_tuple_check(
             name, itertools.product(gens, repeat=2), residual,

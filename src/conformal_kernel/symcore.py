@@ -13,7 +13,10 @@ with D-powers acting on the module coefficient from the left.  ``substitute``
 is the one way to put forms in for variables: it multiplies the cached
 powers of the forms (``form_power``), one cached product per exponent
 vector.  Pairing at a linear form (``algebra.pair_at``) expands the same
-powers straight into an ``Accumulator``.
+powers straight into an ``Accumulator``, and so does cochain evaluation
+(``cohomology.eval_cochain``), into the accumulator its caller holds.  A
+merge into an accumulator carries the D-offset of the product term, so no
+D-shifted copy of a bucket is built on the way.
 """
 
 from __future__ import annotations
@@ -153,7 +156,7 @@ class ModElement:
         """sum of c * D^k * e over the (e, k, c) in parts."""
         out: dict = {}
         for e, k, c in parts:
-            _merge(out, None, _dshift(e.bucket, k), c)
+            _merge(out, None, e.bucket, c, k)
         return ModElement(_clean_bucket(out.get(None, {})))
 
     def is_zero(self) -> bool:
@@ -191,7 +194,9 @@ class ModElement:
 
     def d_apply(self, power: int) -> "ModElement":
         """Multiply every coefficient by D^power."""
-        return ModElement(_dshift(self.bucket, power))
+        if not power:
+            return self
+        return ModElement({(g, j + power): c for (g, j), c in self.bucket.items()})
 
     def __eq__(self, other) -> bool:
         return isinstance(other, ModElement) and self.bucket == other.bucket
@@ -362,11 +367,18 @@ def _positions(names: tuple[str, ...], context: tuple[str, ...]) -> list[int]:
         raise ValueError(f"variable {missing[0]} missing from target context {context}") from None
 
 
-def _merge(out: dict, exp: tuple[int, ...], bucket: dict, scale=ONE):
-    """out[exp] += scale * bucket, into a fresh inner map: stored values are
-    never written to."""
+def _merge(out: dict, exp: tuple[int, ...], bucket: dict, scale=ONE, kd: int = 0):
+    """out[exp] += scale * D^kd * bucket, into a fresh inner map: stored
+    values are never written to, and no shifted copy is built."""
     tgt = out.get(exp)
-    if tgt is None:
+    if kd:
+        if tgt is None:
+            out[exp] = {(g, j + kd): scale * c for (g, j), c in bucket.items()}
+        else:
+            for (g, j), c in bucket.items():
+                gk = (g, j + kd)
+                tgt[gk] = tgt.get(gk, 0) + scale * c
+    elif tgt is None:
         out[exp] = dict(bucket) if scale == 1 else {gk: scale * c for gk, c in bucket.items()}
     elif scale == 1:
         for gk, c in bucket.items():
@@ -374,11 +386,6 @@ def _merge(out: dict, exp: tuple[int, ...], bucket: dict, scale=ONE):
     else:
         for gk, c in bucket.items():
             tgt[gk] = tgt.get(gk, 0) + scale * c
-
-
-def _dshift(bucket: dict, k: int) -> dict:
-    """D^k times a bucket."""
-    return {(g, j + k): c for (g, j), c in bucket.items()} if k else bucket
 
 
 def _clean(context: tuple[str, ...], items) -> "LambdaPoly":
@@ -467,19 +474,23 @@ def substitute(lp: "LambdaPoly", forms: dict[str, tuple[dict[str, Q], Q]],
     return _expand(Accumulator(ctx), lp, fs, (0,) * len(fs)).build()
 
 
-def _expand(acc: "Accumulator", lp: "LambdaPoly", forms, shift: tuple[int, ...]) -> "Accumulator":
+def _expand(acc: "Accumulator", lp: "LambdaPoly", forms, shift: tuple[int, ...],
+            scale=ONE, mono: tuple[int, ...] | None = None) -> "Accumulator":
     """Add each term b * prod(v_i^e_i) of lp, e padded by zeros to the length
-    of forms (ValueError if longer), as b * prod(forms[i]^(e_i + shift[i]))
-    over acc's context; return acc.  Products are cached per exponent vector."""
+    of forms (ValueError if longer), as scale * mono * b *
+    prod(forms[i]^(e_i + shift[i])) over acc's context, for a monomial mono
+    of that context (None for 1); return acc.  Products are cached per
+    exponent vector."""
     key = (acc.context,) + tuple((tuple(c.items()), d) for c, d in forms)
     key = _FORM_KEYS.setdefault(key, len(_FORM_KEYS))
+    data = acc.data
     for e, b in lp.data.items():
         exps = tuple(map(add, e, shift)) + e[len(shift):] + shift[len(e):]
         got = _FORM_PRODUCTS.get((key, exps))
         if got is None:
             got = _FORM_PRODUCTS[key, exps] = _form_product(acc.context, forms, exps)
         for c, inc, kd in got:
-            _merge(acc.data, inc, _dshift(b, kd), c)
+            _merge(data, inc if mono is None else tuple(map(add, mono, inc)), b, scale * c, kd)
     return acc
 
 

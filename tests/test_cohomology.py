@@ -136,6 +136,42 @@ class TestDifferentialBasics:
             cohomology.eval_cochain(coch, cohomology._gen_args([xg(0), xg(1)]),
                                     [({"a": 1}, 0)], ("a",))
 
+    def test_value_with_one_variable_beyond_its_context_raises(self):
+        # one variable more is not read as the final slot's form
+        ctx = canon_vars(1) + ("z",)
+        coch = Cochain(0, 2, lambda gens: LambdaPoly(ctx, {(0, 1): {(xg(0), 0): 1}}))
+        with pytest.raises(ValueError):
+            cohomology.eval_cochain(coch, cohomology._gen_args([xg(0), xg(1)]),
+                                    [({"a": 1}, 0)], ("a",))
+
+    @pytest.mark.parametrize("twice, m, n, arity", [
+        ("d_ce", 2, 0, 4), ("d_ce", 2, 1, 5), ("d_h", 0, 2, 4)])
+    def test_differentials_expand_into_one_accumulator(self, monkeypatch, twice, m, n, arity):
+        # every cochain evaluation inside a differential, and the
+        # symmetrized values it reads, expand straight into the caller's
+        # accumulator: no substitute, and no built value added back
+        import sys
+
+        alg = parse_file(os.path.join(DEMOS, "ex2_17.alg")).algebra()
+        V = adjoint_module(alg)
+        diff = {"d_ce": d_ce, "d_h": d_h}[twice]
+        image = diff(alg, V, diff(alg, V, random_cochain(m, n, seed=3)))
+        t, = random_gen_tuples(arity, 1, 5)
+        calls = {"substitute": 0, "add": 0}
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("conformal_kernel") and hasattr(module, "substitute"):
+                monkeypatch.setattr(module, "substitute", counting("substitute", module.substitute))
+        monkeypatch.setattr(Accumulator, "add", counting("add", Accumulator.add))
+        assert image.value(t).is_zero()
+        assert calls == {"substitute": 0, "add": 0}
+
 
 class TestComplexIdentities:
     def test_suite_passes(self, setup):
@@ -585,6 +621,25 @@ class TestSlotEvaluationOracle:
             assert sympy.expand(self.sym(sympy, got) - want) == 0, layout
             nonzero += want != 0
         assert nonzero >= 3
+
+    def test_pair_in_slot_into_scales_and_keeps_prior_contents(self):
+        # scale 3 into an accumulator that already holds a value: prior
+        # contents plus 3 times the built evaluation, so a lost scale, sign
+        # or monomial offset shows
+        rng = random.Random(29)
+        gamma = random_cochain(2, 1, seed=83, d_max=1, l_max=1)
+        ivars = canon_vars(3) + (None,)
+        ctx = ("a",) + canon_vars(3)
+        layout = [3, (0, 2), 1]  # the dagger item, then the pair, in slots 1 and 2
+        rule, _table = self.rand_rule(rng)
+        items = [self.small_item(rng, ("a",)) for _ in range(4)]
+        prior = self.small_item(rng, ctx)
+        acc = Accumulator(ctx)
+        acc.add_lp(prior)
+        cohomology._pair_in_slot_into(acc, gamma, rule, items, ivars, layout, 3)
+        once = cohomology._eval_pair_in_slot(gamma, rule, items, ivars, layout, ctx)
+        assert not once.is_zero() and not prior.is_zero()
+        assert acc.build() == prior + once.scale(3)
 
     @pytest.mark.parametrize("m, n", BIDEGREES)
     def test_symmetrize(self, sympy, m, n):
