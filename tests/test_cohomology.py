@@ -126,20 +126,13 @@ class TestDifferentialBasics:
         want = eval_op(P.product, ModElement.of(xg(1)), ModElement.of(xg(1)), "c1")
         assert got == want
 
-    def test_value_with_variables_beyond_the_forms_raises(self):
-        # a (0, 2)-cochain is read at one slot form plus the final slot's:
-        # a value carrying two more variables than its context has no form
-        # for the last one, and its exponents must not be dropped
-        ctx = canon_vars(1) + ("z", "w")
-        coch = Cochain(0, 2, lambda gens: LambdaPoly(ctx, {(0, 1, 1): {(xg(0), 0): 1}}))
-        with pytest.raises(ValueError):
-            cohomology.eval_cochain(coch, cohomology._gen_args([xg(0), xg(1)]),
-                                    [({"a": 1}, 0)], ("a",))
-
-    def test_value_with_one_variable_beyond_its_context_raises(self):
-        # one variable more is not read as the final slot's form
-        ctx = canon_vars(1) + ("z",)
-        coch = Cochain(0, 2, lambda gens: LambdaPoly(ctx, {(0, 1): {(xg(0), 0): 1}}))
+    @pytest.mark.parametrize("extra", [("z", "w"), ("z",)])
+    def test_value_with_variables_beyond_the_forms_raises(self, extra):
+        # a (0, 2)-cochain is read at one slot form plus the final slot's: a
+        # value with two more variables than its context has no form for the
+        # last one, and one more is not read as the final slot's form
+        ctx, exp = canon_vars(1) + extra, (0,) + (1,) * len(extra)
+        coch = Cochain(0, 2, lambda gens: LambdaPoly(ctx, {exp: {(xg(0), 0): 1}}))
         with pytest.raises(ValueError):
             cohomology.eval_cochain(coch, cohomology._gen_args([xg(0), xg(1)]),
                                     [({"a": 1}, 0)], ("a",))
