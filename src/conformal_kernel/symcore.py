@@ -14,7 +14,7 @@ is the one way to put forms in for variables: it multiplies the cached
 powers of the forms (``form_power``), one cached product per exponent
 vector.  Pairing at a linear form (``algebra.pair_at``) expands the same
 powers straight into an ``Accumulator``, and so does cochain evaluation
-(``cohomology.eval_cochain``), into the accumulator its caller holds.  A
+(``cohomology._eval_into``), into the accumulator its caller holds.  A
 merge into an accumulator carries the D-offset of the product term, so no
 D-shifted copy of a bucket is built on the way.
 """
