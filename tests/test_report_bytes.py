@@ -22,6 +22,10 @@ CASES = {
     "check_ex2_17_w4": ["check", "demos/ex2_17.alg", "--window", "4"],
     "check_ex2_17_swapped": ["check", "demos/ex2_17_swapped.alg"],
     "check_mat2": ["check", "demos/mat2.alg"],
+    # ex2_17 declared as each single-operation kind: only that kind's laws run
+    "check_ex2_17_lie": ["check", "tests/manifests/ex2_17_lie.alg"],
+    "check_ex2_17_associative": ["check", "tests/manifests/ex2_17_associative.alg"],
+    "check_ex2_17_commutative": ["check", "tests/manifests/ex2_17_commutative.alg"],
     "coeff_ex2_17": ["coeff", "demos/ex2_17.alg", "--modes=-3..3", "--window", "4"],
     # not one 1-parameter family: the closed-form comparison is left out
     "coeff_mat2": ["coeff", "demos/mat2.alg", "--modes=-2..2", "--window", "2"],
