@@ -16,16 +16,29 @@ optional item order for a term that reads the triple (a, b, c) permuted as
     {X_L {Y_M Z}},    {{X_L Y}_{L+M} Z},    {Y_M {X_L Z}}
 
 fix where the spectral variables L and M go, and the terms sum into one
-accumulator per tuple.  Axiom checkers sweep all generator tuples of a
-finite window and report exact-zero residuals; a tuple whose evaluation needs
-a rule entry outside the declared window is counted as inconclusive, never
-silently skipped.
+accumulator per tuple.
+
+This module is the one place that states the five Poisson laws, in
+``poisson_laws``, each as (name, arity, terms).  A two-slot law's terms are
+(rule, sign), read as a.b - sign * (b.a at the dagger); a three-slot law's
+are a term table:
+
+    associativity  associator(p)      commutativity  (p, +1)
+    skew_symmetry  (b, -1)            jacobi         leibniz(b, b)
+    leibniz        leibniz(p, b)
+
+``check_suite`` runs the laws of the declared kind through the one sweep,
+``sweep``, over all generator tuples of a finite window; the ordinary (PGD)
+and coefficient-algebra checks read the same table with their own rules and
+evaluators.  A tuple whose evaluation needs a rule entry outside the
+declared window is counted as inconclusive, never silently skipped.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import partial
 from operator import add
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -397,6 +410,15 @@ KIND_NC_POISSON = "noncommutative_poisson"
 
 DEFAULT_WINDOW = 3
 
+# the laws each kind declares, in report order
+KIND_LAWS = {
+    KIND_POISSON: ("associativity", "commutativity", "skew_symmetry", "jacobi", "leibniz"),
+    KIND_NC_POISSON: ("associativity", "skew_symmetry", "jacobi", "leibniz"),
+    KIND_LIE: ("skew_symmetry", "jacobi"),
+    KIND_ASSOCIATIVE: ("associativity",),
+    KIND_COMMUTATIVE: ("associativity", "commutativity"),
+}
+
 
 @dataclass
 class ConformalAlgebra:
@@ -407,26 +429,25 @@ class ConformalAlgebra:
     kind: str = KIND_POISSON
 
     def __post_init__(self):
-        if self.kind in (KIND_POISSON, KIND_NC_POISSON):
-            if self.product is None or self.bracket is None:
-                raise ValueError(f"{self.kind} algebra needs both product and bracket")
-        if self.kind == KIND_LIE and self.bracket is None:
-            raise ValueError("lie algebra needs a bracket")
-        if self.kind in (KIND_ASSOCIATIVE, KIND_COMMUTATIVE) and self.product is None:
-            raise ValueError("associative algebra needs a product")
+        # the kind's laws read the product, the bracket or both
+        missing = [op for op, law in (("product", "associativity"), ("bracket", "skew_symmetry"))
+                   if law in KIND_LAWS[self.kind] and getattr(self, op) is None]
+        if missing:
+            raise ValueError(f"{self.kind} algebra needs a {' and a '.join(missing)}")
 
     def generators(self, window: int) -> list[GenIndex]:
         return window_generators(self.families, window)
 
     @property
     def commutative(self) -> bool:
-        return self.kind in (KIND_POISSON, KIND_COMMUTATIVE)
+        return "commutativity" in KIND_LAWS[self.kind]
 
 
-# residuals ------------------------------------------------------------------
+# the Poisson laws -------------------------------------------------------------
 
-def _triple_assoc_residual(prod: StructureRule, a, b, c) -> LambdaPoly:
-    return nested_sum(associator(prod), a, b, c).build()
+def law_residual(arity: int, terms: tuple) -> Callable[..., LambdaPoly]:
+    """A law's residual on a pair or a triple of module elements."""
+    return partial(_pair_comm_residual, *terms) if arity == 2 else table_residual(terms)
 
 
 def _pair_comm_residual(prod: StructureRule, sign: int, a, b) -> LambdaPoly:
@@ -437,87 +458,39 @@ def _pair_comm_residual(prod: StructureRule, sign: int, a, b) -> LambdaPoly:
     return acc.build()
 
 
-def _triple_jacobi_residual(br: StructureRule, a, b, c) -> LambdaPoly:
-    return _triple_leibniz_residual(br, br, a, b, c)
+def poisson_laws(prod: StructureRule | None, br: StructureRule | None, kind: str,
+                 prefix: str = "", evaluate=law_residual) -> list[tuple[str, int, Callable]]:
+    """The laws of a kind on a product and a bracket, in report order, as
+    (name, arity, evaluate(arity, terms)).  A prefix names the laws of
+    another level ("ord_", "coeff_"), where skew symmetry is antisymmetry."""
+    laws = {"associativity": (3, associator(prod)),
+            "commutativity": (2, (prod, 1)),
+            "skew_symmetry": (2, (br, -1)),
+            "jacobi": (3, leibniz(br, br)),
+            "leibniz": (3, leibniz(prod, br))}
+    rename = {"skew_symmetry": "antisymmetry"} if prefix else {}
+    return [(prefix + rename.get(name, name), laws[name][0], evaluate(*laws[name]))
+            for name in KIND_LAWS[kind]]
 
 
-def _triple_leibniz_residual(prod: StructureRule, br: StructureRule, a, b, c) -> LambdaPoly:
-    return nested_sum(leibniz(prod, br), a, b, c).build()
-
-
-def _mods(gens: list[GenIndex]) -> list[ModElement]:
-    return [ModElement.of(g) for g in gens]
-
-
-def check_associativity(alg: ConformalAlgebra, window: int = DEFAULT_WINDOW) -> CheckReport:
-    gens = _mods(alg.generators(window))
-    return run_tuple_check(
-        "associativity",
-        itertools.product(gens, repeat=3),
-        lambda a, b, c: _triple_assoc_residual(alg.product, a, b, c),
-    )
-
-
-def check_commutativity(alg: ConformalAlgebra, window: int = DEFAULT_WINDOW) -> CheckReport:
-    gens = _mods(alg.generators(window))
-    return run_tuple_check(
-        "commutativity",
-        itertools.product(gens, repeat=2),
-        lambda a, b: _pair_comm_residual(alg.product, +1, a, b),
-    )
-
-
-def check_skew_symmetry(alg: ConformalAlgebra, window: int = DEFAULT_WINDOW) -> CheckReport:
-    gens = _mods(alg.generators(window))
-    return run_tuple_check(
-        "skew_symmetry",
-        itertools.product(gens, repeat=2),
-        lambda a, b: _pair_comm_residual(alg.bracket, -1, a, b),
-    )
-
-
-def check_jacobi(alg: ConformalAlgebra, window: int = DEFAULT_WINDOW) -> CheckReport:
-    gens = _mods(alg.generators(window))
-    return run_tuple_check(
-        "jacobi",
-        itertools.product(gens, repeat=3),
-        lambda a, b, c: _triple_jacobi_residual(alg.bracket, a, b, c),
-    )
-
-
-def check_leibniz(alg: ConformalAlgebra, window: int = DEFAULT_WINDOW) -> CheckReport:
-    gens = _mods(alg.generators(window))
-    return run_tuple_check(
-        "leibniz",
-        itertools.product(gens, repeat=3),
-        lambda a, b, c: _triple_leibniz_residual(alg.product, alg.bracket, a, b, c),
-    )
-
-
-def check_poisson(alg: ConformalAlgebra, window: int = DEFAULT_WINDOW) -> list[CheckReport]:
-    """The full axiom suite for the algebra's declared kind."""
-    reports = [check_associativity(alg, window)]
-    if alg.kind == KIND_POISSON:
-        reports.append(check_commutativity(alg, window))
-    else:
-        reports.append(CheckReport("commutativity", PASS, notes=["skipped: noncommutative kind"]))
-        reports[-1].checked = 0
-    reports.append(check_skew_symmetry(alg, window))
-    reports.append(check_jacobi(alg, window))
-    reports.append(check_leibniz(alg, window))
-    return reports
+def sweep(gens: Sequence[GenIndex], checks: Iterable[tuple]) -> list[CheckReport]:
+    """run_tuple_check of each (name, arity, residual) over all arity-tuples
+    of the generators."""
+    elems = [ModElement.of(g) for g in gens]
+    return [run_tuple_check(name, itertools.product(elems, repeat=k), fn)
+            for name, k, fn in checks]
 
 
 def check_suite(alg: ConformalAlgebra, window: int = DEFAULT_WINDOW) -> list[CheckReport]:
-    """The axiom sweep matching the declared kind."""
-    if alg.kind in (KIND_POISSON, KIND_NC_POISSON):
-        return check_poisson(alg, window)
-    if alg.kind == KIND_LIE:
-        return [check_skew_symmetry(alg, window), check_jacobi(alg, window)]
-    reports = [check_associativity(alg, window)]
-    if alg.kind == KIND_COMMUTATIVE:
-        reports.append(check_commutativity(alg, window))
+    """The axiom sweep of the declared kind; a noncommutative Poisson kind
+    reports commutativity as skipped."""
+    reports = sweep(alg.generators(window), poisson_laws(alg.product, alg.bracket, alg.kind))
+    if alg.kind == KIND_NC_POISSON:
+        reports.insert(1, CheckReport("commutativity", PASS, notes=["skipped: noncommutative kind"]))
     return reports
+
+
+check_poisson = check_suite
 
 
 def suite_passes(reports: Iterable[CheckReport]) -> bool:

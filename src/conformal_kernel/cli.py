@@ -11,7 +11,7 @@ import argparse
 import sys
 from contextlib import suppress
 
-from .algebra import PreconditionFailed, check_poisson, check_suite, sweep_status
+from .algebra import PreconditionFailed, check_suite, sweep_status
 from .cohomology import AnsatzBounds, check_action_module_laws, check_complex_identities
 from .coeff import (
     ModeWindow,
@@ -120,7 +120,7 @@ def run(command: str, man, args) -> list:
         N = man.nijenhuis()
         reports = nijenhuis_check(alg, N, window)
         deformed = nijenhuis_deform(alg, N, window, precheck=False)
-        for r in check_poisson(deformed, window):
+        for r in check_suite(deformed, window):
             r.name = "deformed_" + r.name
             reports.append(r)
         reports.append(nijenhuis_homomorphism_check(alg, deformed, N, window))

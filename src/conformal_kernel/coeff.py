@@ -18,12 +18,17 @@ import itertools
 from dataclasses import dataclass
 
 from .algebra import (
+    INNER,
+    KIND_NC_POISSON,
+    KIND_POISSON,
+    OUTER,
     CheckReport,
     ConformalAlgebra,
     PASS,
     PreconditionFailed,
     StructureRule,
     WindowEscape,
+    poisson_laws,
     run_tuple_check,
     stack_rows,
 )
@@ -138,11 +143,13 @@ class CoeffAlgebra:
             self._nth[key] = got
         return got
 
-    def _basis_op(self, rule: StructureRule, g1: GenIndex, m: int, g2: GenIndex, n: int) -> CoeffElement:
-        key = (rule.kind, g1, m, g2, n)
-        got = self._ops.get(key)
-        if got is not None:
-            return got
+    def _basis_op(self, rule: StructureRule, a: Mode, b: Mode) -> CoeffElement:
+        key = (rule.kind, a, b)
+        try:
+            return self._ops[key]
+        except KeyError:
+            pass
+        (g1, m), (g2, n) = a, b
         out = CoeffElement.zero()
         for j, me in self._nth_products(rule, g1, g2):
             c = gen_binom(m, j)
@@ -154,16 +161,17 @@ class CoeffAlgebra:
     def _accumulate(self, out: dict[Mode, Q], rule: StructureRule, u: CoeffElement,
                     v: CoeffElement, sign: int = 1):
         """out += sign * rule(u, v) on the term map of a coefficient element;
-        entries that cancel are removed."""
-        for (g1, m), c1 in u.terms.items():
-            for (g2, n), c2 in v.terms.items():
+        entries that cancel are removed (every scalar of an element is
+        nonzero and sign is +-1, so a sum that cancels had an entry)."""
+        for a, c1 in u.terms.items():
+            for b, c2 in v.terms.items():
                 c = sign * c1 * c2
-                for k, x in self._basis_op(rule, g1, m, g2, n).terms.items():
+                for k, x in self._basis_op(rule, a, b).terms.items():
                     nv = out.get(k, 0) + c * x
                     if nv:
                         out[k] = nv
                     else:
-                        out.pop(k, None)
+                        del out[k]
 
     def _bilinear(self, rule: StructureRule, u: CoeffElement, v: CoeffElement) -> CoeffElement:
         out = CoeffElement()
@@ -202,62 +210,51 @@ def _as_report_value(e: CoeffElement) -> LambdaPoly:
 
 def check_coeff_poisson(alg: ConformalAlgebra, window: ModeWindow) -> list[CheckReport]:
     """Ordinary Poisson axioms of Coeff P over all basis mode tuples in the
-    window.  Each residual accumulates in one coefficient element; witnesses
-    are wrapped into report polynomials only when nonzero."""
+    window: unordered pairs for the two-slot laws, ordered triples for the
+    rest, reported by arity, then name.  Each residual accumulates in one
+    coefficient element; witnesses are wrapped into report polynomials only
+    when nonzero."""
     ca = CoeffAlgebra(alg)
     gens = alg.generators(window.gen_window)
     elem = {(g, n): CoeffElement.of(g, n) for g in gens for n in window.modes()}
-    commutative = alg.kind in ("poisson", "commutative")
     acc, B = ca._accumulate, ca._basis_op
-    br, pr = alg.bracket, alg.product
 
-    def check(name, arity, residual):
+    def residual(arity, terms):
+        # a law on basis modes (g, n): a.b - sign * b.a for terms (rule,
+        # sign); a term table with INNER X.(Y.Z), OUTER (X.Y).Z, SWAP Y.(X.Z)
+        if arity == 2:
+            rule, sign = terms
+
+            def two(a, b):
+                out = {}
+                acc(out, rule, elem[a], elem[b])
+                acc(out, rule, elem[b], elem[a], -sign)
+                return CoeffElement(out, _trusted=True)
+            return two
+
+        def three(X, Y, Z):
+            out = {}
+            for shape, outer, inner, sign in terms:
+                if shape == INNER:
+                    acc(out, outer, elem[X], B(inner, Y, Z), sign)
+                elif shape == OUTER:
+                    acc(out, outer, B(inner, X, Y), elem[Z], sign)
+                else:
+                    acc(out, outer, elem[Y], B(inner, X, Z), sign)
+            return CoeffElement(out, _trusted=True)
+        return three
+
+    laws = poisson_laws(alg.product, alg.bracket,
+                        KIND_POISSON if alg.commutative else KIND_NC_POISSON, "coeff_", residual)
+    reports = []
+    for name, arity, fn in sorted(laws, key=lambda law: (law[1], law[0])):
         # tuples of basis modes (g, n); a witness shows their elements
         tuples = (itertools.combinations_with_replacement(elem, 2) if arity == 2
                   else itertools.product(elem, repeat=3))
-        rep = run_tuple_check(name, tuples, residual)
+        rep = run_tuple_check(name, tuples, fn)
         rep.witnesses = [(tuple(elem[m] for m in t), _as_report_value(r))
                          for t, r in rep.witnesses]
-        return rep
-
-    def r_antisym(a, b):
-        out = CoeffElement()
-        acc(out.terms, br, elem[a], elem[b])
-        acc(out.terms, br, elem[b], elem[a])
-        return out
-
-    def r_comm(a, b):
-        out = CoeffElement()
-        acc(out.terms, pr, elem[a], elem[b])
-        acc(out.terms, pr, elem[b], elem[a], -1)
-        return out
-
-    def r_assoc(a, b, c):
-        out = CoeffElement()
-        acc(out.terms, pr, B(pr, *a, *b), elem[c])
-        acc(out.terms, pr, elem[a], B(pr, *b, *c), -1)
-        return out
-
-    def r_jacobi(a, b, c):
-        out = CoeffElement()
-        acc(out.terms, br, elem[a], B(br, *b, *c))
-        acc(out.terms, br, B(br, *a, *b), elem[c], -1)
-        acc(out.terms, br, elem[b], B(br, *a, *c), -1)
-        return out
-
-    def r_leibniz(a, b, c):
-        out = CoeffElement()
-        acc(out.terms, br, elem[a], B(pr, *b, *c))
-        acc(out.terms, pr, B(br, *a, *b), elem[c], -1)
-        acc(out.terms, pr, elem[b], B(br, *a, *c), -1)
-        return out
-
-    reports = [check("coeff_antisymmetry", 2, r_antisym)]
-    if commutative:
-        reports.append(check("coeff_commutativity", 2, r_comm))
-    reports.append(check("coeff_associativity", 3, r_assoc))
-    reports.append(check("coeff_jacobi", 3, r_jacobi))
-    reports.append(check("coeff_leibniz", 3, r_leibniz))
+        reports.append(rep)
     return reports
 
 
@@ -268,11 +265,9 @@ def coeff_derivation_check(alg: ConformalAlgebra, window: ModeWindow) -> CheckRe
     elems = [CoeffElement.of(g, n) for g in gens for n in window.modes()]
 
     def residual(u, v):
-        r1 = ca.derivation(ca.product(u, v)) - ca.product(ca.derivation(u), v) \
-            - ca.product(u, ca.derivation(v))
-        r2 = ca.derivation(ca.bracket(u, v)) - ca.bracket(ca.derivation(u), v) \
-            - ca.bracket(u, ca.derivation(v))
-        return stack_rows([_as_report_value(r1), _as_report_value(r2)])
+        D = ca.derivation
+        return stack_rows([_as_report_value(D(op(u, v)) - op(D(u), v) - op(u, D(v)))
+                           for op in (ca.product, ca.bracket)])
 
     return run_tuple_check("coeff_derivation", itertools.product(elems, repeat=2), residual)
 

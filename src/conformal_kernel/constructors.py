@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable
 
 from .algebra import (
@@ -23,24 +22,25 @@ from .algebra import (
     CheckReport,
     ConformalAlgebra,
     GenFamily,
+    KIND_LIE,
     KIND_NC_POISSON,
     KIND_POISSON,
     LinearRule,
     PreconditionFailed,
     StructureRule,
     WindowEscape,
-    _pair_comm_residual,
     _pair_into,
-    _triple_jacobi_residual,
-    _triple_leibniz_residual,
     const_lp,
     eval_op,
+    leibniz,
     nested_sum,
     pair,
     pair_at,
+    poisson_laws,
     run_tuple_check,
     stack_rows,
     suite_fails,
+    sweep,
     table_residual,
     window_generators,
 )
@@ -101,35 +101,16 @@ def _d_free(v: ModElement) -> ModElement:
     return v
 
 
-def _sweep(ord_: OrdinaryAlgebra, window: int, checks) -> list[CheckReport]:
-    """run_tuple_check of each (name, arity, residual) over all arity-tuples
-    of the window's generators."""
-    gens = [ModElement.of(g) for g in ord_.generators(window)]
-    return [run_tuple_check(name, itertools.product(gens, repeat=k), fn)
-            for name, k, fn in checks]
-
-
 # ordinary axiom sweeps: an ordinary algebra is a conformal algebra with
-# lambda-free rules, so each axiom is a signed sum of the associator terms,
-# every one of them constant in (L, M)
+# lambda-free rules, so its laws are the conformal term tables, every one of
+# them constant in (L, M)
 
-def check_ordinary_poisson(ord_: OrdinaryAlgebra, window: int, commutative: bool = True) -> list[CheckReport]:
-    prod, br = _lift(ord_.product, "product"), _lift(ord_.bracket, "bracket")
-    # (ab)c - a(bc): the witnesses of ord_associativity carry this sign
-    assoc = ((OUTER, prod, prod, 1), (INNER, prod, prod, -1))
-    checks = [("ord_associativity", 3, table_residual(assoc))]
-    if commutative:
-        checks.append(("ord_commutativity", 2, partial(_pair_comm_residual, prod, +1)))
-    checks += [
-        ("ord_antisymmetry", 2, partial(_pair_comm_residual, br, -1)),
-        ("ord_jacobi", 3, partial(_triple_jacobi_residual, br)),
-        ("ord_leibniz", 3, partial(_triple_leibniz_residual, prod, br)),
-    ]
-    return _sweep(ord_, window, checks)
+def _poisson_checks(ord_: OrdinaryAlgebra, commutative: bool) -> list[tuple]:
+    return poisson_laws(_lift(ord_.product, "product"), _lift(ord_.bracket, "bracket"),
+                        KIND_POISSON if commutative else KIND_NC_POISSON, "ord_")
 
 
-def check_gd(ord_: OrdinaryAlgebra, window: int = 3) -> list[CheckReport]:
-    """Novikov + Lie + Gel'fand-Dorfman compatibility."""
+def _gd_checks(ord_: OrdinaryAlgebra) -> list[tuple]:
     star, br = _lift(ord_.star, "star"), _lift(ord_.bracket, "bracket")
     acb, bac = (0, 2, 1), (1, 0, 2)  # the triple read as (a, c, b) and as (b, a, c)
     # (a * b) * c = (a * c) * b
@@ -140,17 +121,24 @@ def check_gd(ord_: OrdinaryAlgebra, window: int = 3) -> list[CheckReport]:
     # [a * b, c] + [a, b] * c = a * [b, c] + [a * c, b] + [a, c] * b
     gd = ((OUTER, br, star, 1), (OUTER, star, br, 1), (INNER, star, br, -1),
           (OUTER, br, star, -1, acb), (OUTER, star, br, -1, acb))
-    return _sweep(ord_, window, [
-        ("novikov_right_commute", 3, table_residual(right_commute)),
-        ("novikov_left_symmetry", 3, table_residual(left_symmetry)),
-        ("lie_antisymmetry", 2, partial(_pair_comm_residual, br, -1)),
-        ("lie_jacobi", 3, partial(_triple_jacobi_residual, br)),
-        ("gd_compatibility", 3, table_residual(gd)),
-    ])
+    return [("novikov_right_commute", 3, table_residual(right_commute)),
+            ("novikov_left_symmetry", 3, table_residual(left_symmetry)),
+            *poisson_laws(None, br, KIND_LIE, "lie_"),
+            ("gd_compatibility", 3, table_residual(gd))]
+
+
+def check_ordinary_poisson(ord_: OrdinaryAlgebra, window: int, commutative: bool = True) -> list[CheckReport]:
+    return sweep(ord_.generators(window), _poisson_checks(ord_, commutative))
+
+
+def check_gd(ord_: OrdinaryAlgebra, window: int = 3) -> list[CheckReport]:
+    """Novikov + Lie + Gel'fand-Dorfman compatibility."""
+    return sweep(ord_.generators(window), _gd_checks(ord_))
 
 
 def check_pgd(ord_: OrdinaryAlgebra, window: int = 3, commutative: bool = True) -> list[CheckReport]:
-    """GD + ordinary Poisson + the two product/star compatibility laws."""
+    """GD + ordinary Poisson + the two product/star compatibility laws.  The
+    bracket's own laws run once, as GD's lie_antisymmetry and lie_jacobi."""
     star, prod = _lift(ord_.star, "star"), _lift(ord_.product, "product")
     # both equalities of (b o c) * a = b o (c * a) = (b * a) o c, as rows
     bca = (OUTER, star, prod, 1, (1, 2, 0))
@@ -160,12 +148,14 @@ def check_pgd(ord_: OrdinaryAlgebra, window: int = 3, commutative: bool = True) 
     def right_compat(a, b, c):
         return stack_rows([nested_sum(row, a, b, c) for row in rows])
 
-    return check_gd(ord_, window) + check_ordinary_poisson(ord_, window, commutative) + _sweep(
-        ord_, window, [
-            ("pgd_right_compat", 3, right_compat),
-            # a * (b o c) = (a * b) o c + b o (a * c): the Leibniz shape
-            ("pgd_left_derivation", 3, partial(_triple_leibniz_residual, prod, star)),
-        ])
+    ordinary = [c for c in _poisson_checks(ord_, commutative)
+                if c[0] not in ("ord_antisymmetry", "ord_jacobi")]
+    return sweep(ord_.generators(window), [
+        *_gd_checks(ord_), *ordinary,
+        ("pgd_right_compat", 3, right_compat),
+        # a * (b o c) = (a * b) o c + b o (a * c): the Leibniz shape
+        ("pgd_left_derivation", 3, table_residual(leibniz(prod, star))),
+    ])
 
 
 def check_derivation(ord_: OrdinaryAlgebra, D: LinearRule, window: int = 3) -> list[CheckReport]:
@@ -182,7 +172,7 @@ def check_derivation(ord_: OrdinaryAlgebra, D: LinearRule, window: int = 3) -> l
     checks = [(f"derivation_on_{kind}", 2, on(_lift(rule, kind)))
               for kind, rule in (("product", ord_.product), ("bracket", ord_.bracket))
               if rule is not None]
-    return _sweep(ord_, window, checks)
+    return sweep(ord_.generators(window), checks)
 
 
 # ---------------------------------------------------------------------------

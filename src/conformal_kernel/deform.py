@@ -35,8 +35,8 @@ from .algebra import (
     StructureRule,
     UnboundedAnsatz,
     _pair_into,
-    _triple_assoc_residual,
-    check_poisson,
+    associator,
+    check_suite,
     commutator_bracket,
     const_lp,
     leibniz,
@@ -163,11 +163,10 @@ def _hbar_associativity(ds: DeformationSeries, window: int) -> CheckReport:
     base = ds.alg.generators(window)
     lifted = [[ModElement.of(_hbar_gen(g, k)) for g in base] for k in range(N + 1)]
     powers = [ks for ks in itertools.product(range(N + 1), repeat=3) if sum(ks) <= N]
-    prod = ds.hbar_algebra().product
     return run_tuple_check(
         "associativity",
         (t for ks in powers for t in itertools.product(*(lifted[k] for k in ks))),
-        lambda a, b, c: _triple_assoc_residual(prod, a, b, c),
+        table_residual(associator(ds.hbar_algebra().product)),
     )
 
 
@@ -320,7 +319,7 @@ def semiclassical_limit(ds: DeformationSeries, window: int = 3
                            product=ds.alg.product,
                            bracket=commutator_bracket(mu1_alg),
                            kind=KIND_POISSON)
-    reports = check_poisson(out, window)
+    reports = check_suite(out, window)
     if ds.order < 2:
         for r in reports:
             if r.name == "jacobi":
@@ -414,7 +413,7 @@ def linear_deformation_check(P: ConformalAlgebra, varpi: StructureRule,
                                 product=varpi, bracket=omega, kind=KIND_NC_POISSON)
     reports = [CheckReport(f"pair_{r.name}", r.status, r.witnesses, r.checked,
                            r.escaped, r.notes)
-               for r in check_poisson(pair_alg, window)]
+               for r in check_suite(pair_alg, window)]
 
     prod, br = P.product, P.bracket
     # the parts linear in t of associativity, Jacobi (negated) and Leibniz

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import pickle
 import random
@@ -12,12 +13,8 @@ from conformal_kernel.algebra import (
     LinearRule,
     StructureRule,
     WindowEscape,
-    check_associativity,
-    check_commutativity,
-    check_jacobi,
-    check_leibniz,
     check_poisson,
-    check_skew_symmetry,
+    check_suite,
     commutator_bracket,
     eval_op,
     nth_product_table,
@@ -25,6 +22,7 @@ from conformal_kernel.algebra import (
     pair_at,
     suite_passes,
 )
+from conformal_kernel.constructors import OrdinaryAlgebra
 from conformal_kernel.symcore import DPoly, GenIndex, LambdaPoly, ModElement, gen
 
 
@@ -64,6 +62,25 @@ def poly_poisson(swap=False):
 
 
 E = gen("e")
+
+
+def law_report(alg, name, window):
+    """One law's report, read by name from the suite of the declared kind."""
+    return {r.name: r for r in check_suite(alg, window)}[name]
+
+
+def canonical_ordinary():
+    """Q[p, q] on the monomials x[i, j] = p^i q^j, with {p, q} = 1."""
+    def prod(g1, g2):
+        (a, b), (c, d) = g1.params, g2.params
+        return ModElement.of(gen("x", a + c, b + d))
+
+    def br(g1, g2):
+        (a, b), (c, d) = g1.params, g2.params
+        k = a * d - b * c
+        return ModElement.of(gen("x", a + c - 1, b + d - 1)).scale(k) if k else ModElement.zero()
+
+    return OrdinaryAlgebra("canonical", [GenFamily("x", 2, lo=0)], product=prod, bracket=br)
 
 
 def one_gen_algebra(product_value=None, bracket_value=None):
@@ -123,12 +140,12 @@ class TestChecks:
 
     def test_swapped_bracket_fails_jacobi_and_leibniz(self):
         alg = poly_poisson(swap=True)
-        jac = check_jacobi(alg, window=3)
-        lei = check_leibniz(alg, window=3)
+        jac = law_report(alg, "jacobi", 3)
+        lei = law_report(alg, "leibniz", 3)
         assert jac.status == "fail" and jac.witnesses
         assert lei.status == "fail" and lei.witnesses
         # skew symmetry still holds for the transposed variant
-        assert check_skew_symmetry(alg, window=3).status == "pass"
+        assert law_report(alg, "skew_symmetry", 3).status == "pass"
 
     def test_zero_rules_pass(self):
         alg = one_gen_algebra()
@@ -137,17 +154,18 @@ class TestChecks:
     def test_lambda_e_product_fails(self):
         v = LambdaPoly.of((RULE_VAR,), ModElement.of(E), (1,))  # e o e = L e
         alg = one_gen_algebra(product_value=v)
-        assert check_associativity(alg, window=1).status == "fail"
-        rep = check_commutativity(alg, window=1)
+        assert law_report(alg, "associativity", 1).status == "fail"
+        # the noncommutative kind skips commutativity; declare it commutative
+        rep = law_report(dataclasses.replace(alg, kind="commutative"), "commutativity", 1)
         assert rep.status == "fail"
 
     def test_constant_bracket_fails_skew(self):
         v = LambdaPoly.of((RULE_VAR,), ModElement.of(E))  # [e_L e] = e
         alg = one_gen_algebra(bracket_value=v)
-        assert check_skew_symmetry(alg, window=1).status == "fail"
+        assert law_report(alg, "skew_symmetry", 1).status == "fail"
 
     def test_commutativity_passes_on_poly(self):
-        assert check_commutativity(poly_poisson(), window=4).status == "pass"
+        assert law_report(poly_poisson(), "commutativity", 4).status == "pass"
 
     def test_relabeling_invariance(self):
         # permuting concrete generators permutes witnesses but not statuses
@@ -292,28 +310,36 @@ class TestPairingKernel:
 
     def test_every_table_term_counts(self, monkeypatch):
         # negating any one term of the associator or the Leibniz table
-        # (Jacobi is leibniz(br, br)) breaks the sweep of a Poisson algebra
+        # (Jacobi is leibniz(br, br)) breaks exactly the matching laws, in
+        # each sweep that reads the tables: the conformal suite, the
+        # ordinary Poisson sweep and the coefficient algebra's
         import os
 
         from conformal_kernel import algebra
+        from conformal_kernel.coeff import ModeWindow, check_coeff_poisson
+        from conformal_kernel.constructors import check_ordinary_poisson
         from conformal_kernel.manifest import parse_file
 
         alg = parse_file(os.path.join(os.path.dirname(__file__), "..", "demos", "ex2_17.alg")).algebra()
-        assert suite_passes(check_poisson(alg, window=2))
-        for name, rules, broken in (("associator", (alg.product,), {"associativity"}),
-                                    ("leibniz", (alg.product, alg.bracket), {"jacobi", "leibniz"})):
-            table = getattr(algebra, name)
-            for k in range(len(table(*rules))):
-                def negated(*rs, k=k, table=table):
-                    terms = list(table(*rs))
-                    shape, outer, inner, sign, *order = terms[k]
-                    terms[k] = (shape, outer, inner, -sign, *order)
-                    return terms
+        sweeps = (("", lambda: check_poisson(alg, window=2)),
+                  ("ord_", lambda: check_ordinary_poisson(canonical_ordinary(), window=1)),
+                  ("coeff_", lambda: check_coeff_poisson(alg, ModeWindow(-1, 1, 2))))
+        for prefix, run in sweeps:
+            assert suite_passes(run()), prefix
+            for name, rules, broken in (("associator", (alg.product,), {"associativity"}),
+                                        ("leibniz", (alg.product, alg.bracket), {"jacobi", "leibniz"})):
+                table = getattr(algebra, name)
+                for k in range(len(table(*rules))):
+                    def negated(*rs, k=k, table=table):
+                        terms = list(table(*rs))
+                        shape, outer, inner, sign, *order = terms[k]
+                        terms[k] = (shape, outer, inner, -sign, *order)
+                        return terms
 
-                monkeypatch.setattr(algebra, name, negated)
-                failed = {r.name for r in check_poisson(alg, window=2) if r.status == "fail"}
-                assert failed == broken, (name, k, failed)
-                monkeypatch.setattr(algebra, name, table)
+                    monkeypatch.setattr(algebra, name, negated)
+                    failed = {r.name for r in run() if r.status == "fail"}
+                    assert failed == {prefix + law for law in broken}, (prefix, name, k, failed)
+                    monkeypatch.setattr(algebra, name, table)
 
     def test_pair_at_names_a_missing_form_variable(self):
         alg = poly_poisson()

@@ -6,7 +6,7 @@ from math import comb
 
 import pytest
 
-from conformal_kernel import algebra, cohomology, deform
+from conformal_kernel import cohomology, deform
 from conformal_kernel.algebra import (
     ConformalAlgebra,
     GenFamily,
@@ -14,11 +14,12 @@ from conformal_kernel.algebra import (
     PreconditionFailed,
     RULE_VAR,
     StructureRule,
-    _triple_assoc_residual,
+    associator,
     check_poisson,
     eval_op,
     suite_fails,
     suite_passes,
+    table_residual,
 )
 from conformal_kernel.cohomology import AnsatzBounds, Cochain
 from conformal_kernel.constructors import (
@@ -115,14 +116,17 @@ class TestHbarCrossCheck:
     def test_swept_triples(self, monkeypatch, window, count):
         swept = []
 
-        def counting(prod, a, b, c):
-            swept.append([e.items()[0][0].params[-1] for e in (a, b, c)])
-            return _triple_assoc_residual(prod, a, b, c)
+        def counting(terms):
+            residual = table_residual(terms)
 
-        # count every associativity residual the call evaluates, from
-        # whichever module's sweep it comes
-        monkeypatch.setattr(deform, "_triple_assoc_residual", counting, raising=False)
-        monkeypatch.setattr(algebra, "_triple_assoc_residual", counting)
+            def swept_residual(a, b, c):
+                swept.append([e.items()[0][0].params[-1] for e in (a, b, c)])
+                return residual(a, b, c)
+            return swept_residual
+
+        # the convolution identity calls nested_sum itself, so the term
+        # tables read through table_residual are the series-index sweep's
+        monkeypatch.setattr(deform, "table_residual", counting)
         ds = order2_series()
         assert check_n_deformation(ds, window).status == "pass"
         assert len(swept) == count
@@ -135,11 +139,11 @@ class TestHbarCrossCheck:
         x1 = xg(1)
         bad_mu1 = ds.mu(1).override((x1, x1), ds.mu(1).entry(x1, x1).scale(2))
         bad = DeformationSeries(ds.alg, [bad_mu1, ds.mu(2)])
-        prod = bad.hbar_algebra().product
+        assoc = table_residual(associator(bad.hbar_algebra().product))
         lifted = [(k, ModElement.of(deform._hbar_gen(g, k)))
                   for g in bad.alg.generators(3) for k in range(bad.order + 1)]
         nonzero = Counter(sum(k for k, _ in t) for t in itertools.product(lifted, repeat=3)
-                          if not _triple_assoc_residual(prod, *(e for _, e in t)).is_zero())
+                          if not assoc(*(e for _, e in t)).is_zero())
         # the perturbation shows at power sums 0 and 1, never past N = 2
         assert nonzero == {0: 9, 1: 21}
         rep = check_n_deformation(bad, window=3)
