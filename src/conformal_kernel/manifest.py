@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import (
+    KIND_LAWS,
     ConformalAlgebra,
     GenFamily,
     LinearRule,
@@ -478,7 +479,6 @@ class _ExprParser:
                 expect_operand = True
                 continue
             if t[0] == "sym" and t[1] == "-":
-                sign = -1 if expect_operand or True else sign
                 sign = -1
                 expect_operand = True
                 continue
@@ -510,8 +510,15 @@ class _ExprParser:
         return (const, tuple(sorted(coeffs.items())))
 
 
+def _token(tokens, i, line_no):
+    """tokens[i], or a located syntax error where the line ends early."""
+    if i >= len(tokens):
+        raise ManifestSyntaxError("unexpected end of line", line_no)
+    return tokens[i]
+
+
 def _parse_pattern(tokens, i, line_no, families):
-    t = tokens[i]
+    t = _token(tokens, i, line_no)
     if t[0] != "ident":
         raise ManifestSyntaxError("expected a generator pattern", line_no, t[2])
     name = t[1]
@@ -523,16 +530,13 @@ def _parse_pattern(tokens, i, line_no, families):
     if i < len(tokens) and tokens[i][0] == "sym" and tokens[i][1] == "[":
         i += 1
         while True:
-            t = tokens[i]
-            if t[0] == "ident":
-                params.append(t[1])
-            elif t[0] == "int":
-                params.append(t[1])
-            else:
+            t = _token(tokens, i, line_no)
+            if t[0] not in ("ident", "int"):
                 raise ManifestSyntaxError("pattern indices are names or integers",
                                           line_no, t[2])
+            params.append(t[1])
             i += 1
-            t = tokens[i]
+            t = _token(tokens, i, line_no)
             if t[0] == "sym" and t[1] == "]":
                 i += 1
                 break
@@ -574,13 +578,11 @@ def _parse_rule_line(tokens, line_no, families, npatterns) -> RuleDef:
             if key.gen is None:
                 raise ManifestSyntaxError("every term needs exactly one generator",
                                           line_no)
-    text_src = None
-    return RuleDef(tuple(patterns), tuple(params), rhs, spec_vars, text_src or "", line_no)
+    return RuleDef(tuple(patterns), tuple(params), rhs, spec_vars, "", line_no)
 
 
 def parse(text: str) -> Manifest:
     man = Manifest()
-    declared_kinds = {"poisson", "noncommutative_poisson", "associative", "commutative", "lie"}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -592,7 +594,7 @@ def parse(text: str) -> Manifest:
                 raise ManifestSyntaxError("name needs a value", line_no)
             man.name = rest
         elif head == "kind":
-            if rest not in declared_kinds:
+            if rest not in KIND_LAWS:
                 raise ManifestSyntaxError(f"unknown kind {rest!r}", line_no)
             man.kind = rest
         elif head == "family":
@@ -600,7 +602,7 @@ def parse(text: str) -> Manifest:
             if not toks or toks[0][0] != "ident":
                 raise ManifestSyntaxError("family needs a name", line_no)
             fname = toks[0][1]
-            arity, lo, hi = 1, 0, None
+            opts = {"arity": 1, "min": 0, "max": None}
             i = 1
             while i < len(toks):
                 k = toks[i]
@@ -608,28 +610,21 @@ def parse(text: str) -> Manifest:
                     raise ManifestSyntaxError("family options are key value pairs",
                                               line_no, k[2])
                 v = toks[i + 1]
-                neg = False
-                if v[0] == "sym" and v[1] == "-":
-                    neg = True
+                neg = v[0] == "sym" and v[1] == "-"
+                if neg:
                     i += 1
-                    v = toks[i + 1]
+                    v = _token(toks, i + 1, line_no)
                 if v[0] != "int":
                     raise ManifestSyntaxError("family option values are integers",
                                               line_no, v[2])
-                val = -v[1] if neg else v[1]
-                if k[1] == "arity":
-                    arity = val
-                elif k[1] == "min":
-                    lo = val
-                elif k[1] == "max":
-                    hi = val
-                else:
+                if k[1] not in opts:
                     raise ManifestSyntaxError(f"unknown family option {k[1]!r}",
                                               line_no, k[2])
+                opts[k[1]] = -v[1] if neg else v[1]
                 i += 2
             if fname in man.families:
                 raise ManifestSyntaxError(f"family {fname!r} redeclared", line_no)
-            man.families[fname] = GenFamily(fname, arity, lo, hi)
+            man.families[fname] = GenFamily(fname, opts["arity"], opts["min"], opts["max"])
         elif head == "generator":
             toks = _tokenize(rest, line_no)
             if len(toks) != 1 or toks[0][0] != "ident":

@@ -140,6 +140,19 @@ class TestCli:
         code = main(["check", "no_such_file.alg"])
         assert code == 3
 
+    @pytest.mark.parametrize("line", ["product x[m", "product x[m]", "deform 1",
+                                      "family y min -"])
+    def test_truncated_line_is_a_located_syntax_error(self, tmp_path, capsys, line):
+        # a line cut short is a parse error naming its line (exit 3), not a
+        # traceback through exit 1, which means a check failed
+        with pytest.raises(ManifestSyntaxError) as e:
+            parse(EX + line + "\n")
+        assert e.value.line == 7
+        path = tmp_path / "cut.alg"
+        path.write_text(EX + line + "\n")
+        assert main(["check", str(path), "--window", "1"]) == 3
+        assert capsys.readouterr().err == "error: unexpected end of line (line 7)\n"
+
     def test_reports_byte_identical(self):
         a = self.run_cli("check", os.path.join(DEMOS, "ex2_17.alg"), "--window", "2")
         b = self.run_cli("check", os.path.join(DEMOS, "ex2_17.alg"), "--window", "2")
