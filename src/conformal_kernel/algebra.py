@@ -429,6 +429,8 @@ class ConformalAlgebra:
     kind: str = KIND_POISSON
 
     def __post_init__(self):
+        if self.kind not in KIND_LAWS:
+            raise ValueError(f"unknown kind {self.kind!r}")
         # the kind's laws read the product, the bracket or both
         missing = [op for op, law in (("product", "associativity"), ("bracket", "skew_symmetry"))
                    if law in KIND_LAWS[self.kind] and getattr(self, op) is None]

@@ -164,6 +164,14 @@ class TestChecks:
         alg = one_gen_algebra(bracket_value=v)
         assert law_report(alg, "skew_symmetry", 1).status == "fail"
 
+    def test_kind_needs_its_operations(self):
+        with pytest.raises(ValueError, match="unknown kind 'poison'"):
+            ConformalAlgebra("a", [], product=x_product(), bracket=x_bracket(), kind="poison")
+        with pytest.raises(ValueError, match="lie algebra needs a bracket"):
+            ConformalAlgebra("a", [], product=x_product(), kind="lie")
+        with pytest.raises(ValueError, match="poisson algebra needs a product and a bracket"):
+            ConformalAlgebra("a", [])
+
     def test_commutativity_passes_on_poly(self):
         assert law_report(poly_poisson(), "commutativity", 4).status == "pass"
 
