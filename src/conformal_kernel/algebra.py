@@ -487,7 +487,7 @@ def check_suite(alg: ConformalAlgebra, window: int = DEFAULT_WINDOW) -> list[Che
     """The axiom sweep of the declared kind; a noncommutative Poisson kind
     reports commutativity as skipped."""
     reports = sweep(alg.generators(window), poisson_laws(alg.product, alg.bracket, alg.kind))
-    if alg.kind == KIND_NC_POISSON:
+    if alg.kind == KIND_NC_POISSON:  # in the poisson kind's place, after associativity
         reports.insert(1, CheckReport("commutativity", PASS, notes=["skipped: noncommutative kind"]))
     return reports
 
