@@ -19,8 +19,7 @@ from dataclasses import dataclass
 
 from .algebra import (
     INNER,
-    KIND_NC_POISSON,
-    KIND_POISSON,
+    KIND_LAWS,
     OUTER,
     CheckReport,
     ConformalAlgebra,
@@ -244,8 +243,7 @@ def check_coeff_poisson(alg: ConformalAlgebra, window: ModeWindow) -> list[Check
             return CoeffElement(out, _trusted=True)
         return three
 
-    laws = poisson_laws(alg.product, alg.bracket,
-                        KIND_POISSON if alg.commutative else KIND_NC_POISSON, "coeff_", residual)
+    laws = poisson_laws(alg.product, alg.bracket, alg.kind, "coeff_", residual)
     reports = []
     for name, arity, fn in sorted(laws, key=lambda law: (law[1], law[0])):
         # tuples of basis modes (g, n); a witness shows their elements
@@ -259,15 +257,17 @@ def check_coeff_poisson(alg: ConformalAlgebra, window: ModeWindow) -> list[Check
 
 
 def coeff_derivation_check(alg: ConformalAlgebra, window: ModeWindow) -> CheckReport:
-    """D is a derivation of both coefficient operations."""
+    """D is a derivation of each coefficient operation the kind declares."""
     ca = CoeffAlgebra(alg)
+    ops = [op for op, law in ((ca.product, "associativity"), (ca.bracket, "skew_symmetry"))
+           if law in KIND_LAWS[alg.kind]]
     gens = alg.generators(window.gen_window)
     elems = [CoeffElement.of(g, n) for g in gens for n in window.modes()]
 
     def residual(u, v):
         D = ca.derivation
         return stack_rows([_as_report_value(D(op(u, v)) - op(D(u), v) - op(u, D(v)))
-                           for op in (ca.product, ca.bracket)])
+                           for op in ops])
 
     return run_tuple_check("coeff_derivation", itertools.product(elems, repeat=2), residual)
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 from typing import Callable, Iterable, Sequence
 
@@ -459,11 +459,11 @@ def hochschild_module_action(P: ConformalAlgebra, V: ConformalModule,
 
 
 def cochain_dtilde(gamma: Cochain) -> Cochain:
-    """The D-action on Hochschild cochains: value -> (sum slot vars + D) value."""
+    """The D-action on Hochschild cochains: value -> (sum slot vars + D) value;
+    the extra variables ride along unshifted."""
     def value(gens):
-        v = gamma.value(gens)
-        return multi_shifted_action(v, gamma.context, 1)
-    return Cochain(gamma.m, gamma.n, value)
+        return multi_shifted_action(gamma.value(gens), canon_vars(gamma.slots - 1), 1)
+    return Cochain(gamma.m, gamma.n, value, gamma.extra)
 
 
 # ---------------------------------------------------------------------------
@@ -844,50 +844,74 @@ def cochain_basis(m: int, n: int, families, bounds: AnsatzBounds) -> list[Cochai
     return out
 
 
-def _ansatz_columns(diff: Callable[[Cochain], Cochain], basis: Sequence[Cochain],
-                    t: tuple[GenIndex, ...]) -> list[LambdaPoly]:
-    """diff(z).value(t) for every z in `basis` (one bidegree), by linearity.
+# an ansatz term's tag: a trailing generator parameter, under a family
+# prefix that no manifest name can spell
+_TAG = "τ·"
+
+
+def _untag(g: GenIndex) -> tuple[GenIndex, int | None]:
+    if g.family.startswith(_TAG):
+        return GenIndex(g.family[len(_TAG):], g.params[:-1]), g.params[-1]
+    return g, None
+
+
+def _tagged_module(V: ConformalModule) -> ConformalModule:
+    """V read on tagged generators: each rule strips the tag, reads V's
+    cached entry and tags the output again."""
+    def lift(rule):
+        def fn(g1, g2):
+            (b1, j1), (b2, j2) = _untag(g1), _untag(g2)
+            e, j = rule.entry(b1, b2), j2 if j1 is None else j1
+            return e if e is None or j is None else e.apply_mod(
+                lambda me: me.relabel(lambda g: GenIndex(_TAG + g.family, g.params + (j,))))
+        return rule and StructureRule(rule.kind, fn)
+    return replace(V, left=lift(V.left), right=lift(V.right), lie=lift(V.lie))
+
+
+def _ansatz_columns(diff: Callable[[ConformalModule, Cochain], Cochain], W: ConformalModule,
+                    basis: Sequence[Cochain], t: tuple[GenIndex, ...]) -> list[LambdaPoly]:
+    """diff(V, z).value(t) for every z in `basis` (one bidegree), by
+    linearity, from one evaluation of diff(W, generic), W = _tagged_module(V).
 
     On a fixed tuple the differentials read their argument gamma only
     through gamma.value(s), at sites s that t and the rules fix, and their
-    value is Q-linear in those values.  One evaluation on a zero cochain
-    records the sites.  The differential then runs once per distinct (site,
-    term) among the basis values there, on an impulse cochain holding that
-    term at that site and zero elsewhere, and each column sums its
-    coefficients times those images.  An impulse read at a site the
-    recording did not see raises, so a differential that is not linear in
-    this sense fails loudly; a WindowEscape propagates.
+    value is Q-linear in those values.  The generic element holds at each
+    site it is read at every distinct term of the basis values there, each
+    under its own tag.  W carries the tags through V's rules, so the image
+    terms with tag j, untagged, are the image of term j alone, and each
+    column sums its coefficients times those images.  A read at a site that
+    holds a tagged generator, or an image term without a tag, raises: the
+    differential is then not linear in this sense.  A WindowEscape
+    propagates.
     """
     m, n, extra, ctx = basis[0].m, basis[0].n, basis[0].extra, basis[0].context
-    zero = LambdaPoly.zero(ctx)
-    sites: dict[tuple[GenIndex, ...], None] = {}
+    terms: dict[tuple, int] = {}  # (site, exp, g, k) -> its tag
 
-    def record(s):
-        sites[s] = None
-        return zero
+    def generic(s):
+        if any(g.family.startswith(_TAG) for g in s):
+            raise RuntimeError(f"differential read its argument at {s}, "
+                               f"a site that holds an ansatz term on {t}")
+        data: dict = {}
+        for z in basis:
+            for exp, g, k, _c in z.value(s).flat():
+                j = terms.setdefault((s, exp, g, k), len(terms))
+                data.setdefault(exp, {})[GenIndex(_TAG + g.family, g.params + (j,)), k] = 1
+        return LambdaPoly(ctx, data)
 
-    out_ctx = diff(Cochain(m, n, record, extra)).value(t).context
-
-    def impulse(site, exp, g, k):
-        val = LambdaPoly(ctx, {exp: {(g, k): 1}})
-
-        def value(s):
-            if s not in sites:
-                raise RuntimeError(f"differential read its argument at {s}, "
-                                   f"outside the sites recorded on {t}")
-            return val if s == site else zero
-        return Cochain(m, n, value, extra)
-
-    images: dict[tuple, LambdaPoly] = {}
-    columns = []
+    image = diff(W, Cochain(m, n, generic, extra)).value(t)
+    parts: list[dict] = [{} for _ in terms]
+    for exp, g, k, c in image.flat():
+        b, j = _untag(g)
+        if j is None:
+            raise RuntimeError(f"differential image term {g} on {t} holds no ansatz term")
+        parts[j].setdefault(exp, {})[b, k] = c
+    images = dict(zip(terms, (LambdaPoly(image.context, part) for part in parts)))
+    sites, columns = dict.fromkeys(s for s, *_ in terms), []
     for z in basis:
-        acc = Accumulator(out_ctx)
+        acc = Accumulator(image.context)
         for s in sites:
             for exp, g, k, c in z.value(s).flat():
-                img = images.get((s, exp, g, k))
-                if img is None:
-                    img = images[s, exp, g, k] = diff(impulse(s, exp, g, k)).value(t)
-                acc.add(img, c)
+                acc.add(images[s, exp, g, k], c)
         columns.append(acc.build())
     return columns
 
@@ -920,13 +944,15 @@ def _solve_on(points: Iterable, row: Callable[..., tuple], ncols: int
                        [r[ncols] for r in rows.values()]), escaped
 
 
-def solve_ansatz(diff: Callable[[Cochain], Cochain], basis: Sequence[Cochain],
-                 target: Cochain, tuples: Iterable[tuple[GenIndex, ...]]
-                 ) -> tuple[list[Q] | None, int]:
-    """Exact c with sum_i c_i diff(basis_i) = target on the tuples, and the
-    number of tuples left out because a column or the target escapes a rule
-    window there."""
-    return _solve_on(tuples, lambda t: (_ansatz_columns(diff, basis, t), target.value(t)),
+def solve_ansatz(diff: Callable[[ConformalModule, Cochain], Cochain], V: ConformalModule,
+                 basis: Sequence[Cochain], target: Cochain,
+                 tuples: Iterable[tuple[GenIndex, ...]]) -> tuple[list[Q] | None, int]:
+    """Exact c with sum_i c_i diff(V, basis_i) = target on the tuples, and
+    the number of tuples left out because a column or the target escapes a
+    rule window there.  The columns on a tuple come from one evaluation of
+    diff (see _ansatz_columns)."""
+    W = _tagged_module(V)
+    return _solve_on(tuples, lambda t: (_ansatz_columns(diff, W, basis, t), target.value(t)),
                      len(basis))
 
 
@@ -966,12 +992,14 @@ def coboundary_solve(P: ConformalAlgebra, V: ConformalModule, graded: Graded,
              for key in fgv_bidegrees(k - 1) if sum(key) == k - 1}
     reach = {key: sorted(d_total(P, V, {key: basis[0]})) for key, basis in bases.items()}
     target_keys = sorted(set(graded).union(*reach.values()))
+    W = _tagged_module(V)
 
     def columns(tk, t):
         out = []
         for key, basis in bases.items():
             if tk in reach[key]:
-                out += _ansatz_columns(lambda g, key=key: d_total(P, V, {key: g})[tk], basis, t)
+                out += _ansatz_columns(lambda U, g, key=key: d_total(P, U, {key: g})[tk],
+                                       W, basis, t)
             else:
                 out += [None] * len(basis)
         return out

@@ -280,7 +280,7 @@ def solve_extension(ds: DeformationSeries, bounds: AnsatzBounds,
     V = regular_bimodule(ds.alg)
     basis = cochain_basis(0, 2, ds.alg.families, bounds)
     tuples = itertools.product(ds.alg.generators(window), repeat=3)
-    sol, escaped = solve_ansatz(lambda z: d_h(ds.alg, V, z), basis, theta, tuples)
+    sol, escaped = solve_ansatz(lambda W, z: d_h(ds.alg, W, z), V, basis, theta, tuples)
     if sol is None:
         return None, escaped
     mu_next_cochain = None

@@ -155,6 +155,17 @@ class TestCoeffSuite:
         assert all(isinstance(e, CoeffElement) for e in t) and not value.is_zero()
 
 
+    def test_lie_kind_sweeps_the_bracket_laws_only(self):
+        # a lie algebra declares no product: neither the sweep nor the
+        # derivation check reads one
+        alg = poly_poisson()
+        lie = ConformalAlgebra("lie", alg.families, bracket=alg.bracket, kind="lie")
+        reports = check_coeff_poisson(lie, ModeWindow(-1, 1, 1))
+        assert [r.name for r in reports] == ["coeff_antisymmetry", "coeff_jacobi"]
+        assert suite_passes(reports) and all(r.checked for r in reports)
+        assert coeff_derivation_check(lie, ModeWindow(-1, 1, 1)).status == "pass"
+
+
 class TestDerivationAndRelations:
     def test_poly_derivation_passes(self):
         alg = poly_poisson()

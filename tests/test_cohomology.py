@@ -23,6 +23,7 @@ from conformal_kernel.cohomology import (
     AnsatzBounds,
     Cochain,
     _ansatz_columns,
+    _tagged_module,
     bilinear_cochain,
     canon_vars,
     check_action_module_laws,
@@ -293,6 +294,19 @@ class TestModuleAction:
         assert reports["action_dtilde_bare_law"].status == "fail"
         assert reports["action_dtilde_with_defect_term"].status == "pass"
 
+    def test_dtilde_of_an_action_cochain(self, setup):
+        # D~ on x_L gamma keeps L as an extra variable and shifts by the slot
+        # variable only: (D + c1)(x_L gamma) = D(x_L gamma) + c1 (x_L gamma)
+        P, V = setup
+        act = hochschild_module_action(P, V, ModElement.of(xg(1)),
+                                       random_cochain(0, 2, seed=3), "L")
+        dt = cochain_dtilde(act)
+        assert dt.context == ("c1", "L")
+        values = [(act.value(t), dt.value(t)) for t in tuples_for(2, count=6)]
+        assert any(not v.is_zero() for v, _ in values)
+        for v, w in values:
+            assert w == v.apply_mod(lambda me: me.d_apply(1)) + v.mul_var("c1")
+
 
 class TestCocycleAndSolve:
     def test_structure_pair_is_two_cocycle(self, setup):
@@ -388,7 +402,8 @@ def ex2_17(doubled=False):
 
 class TestAnsatzColumns:
     """The ansatz columns, built by linearity from one differential
-    evaluation per (site, term), equal the direct images."""
+    evaluation of the generic ansatz element per tuple, equal the direct
+    images."""
 
     @pytest.mark.parametrize("window, doubled", [(1, False), (2, False), (2, True)])
     def test_d_h_columns_equal_direct_images(self, window, doubled):
@@ -396,8 +411,9 @@ class TestAnsatzColumns:
         V = regular_bimodule(P)
         basis = cochain_basis(0, 2, P.families, AnsatzBounds(2, 2))
         images = [d_h(P, V, z) for z in basis]
+        W = _tagged_module(V)
         for t in itertools.product(P.generators(window), repeat=3):
-            cols = _ansatz_columns(lambda z: d_h(P, V, z), basis, t)
+            cols = _ansatz_columns(lambda U, z: d_h(P, U, z), W, basis, t)
             assert cols == [img.value(t) for img in images]
 
     @pytest.mark.parametrize("key", [(2, 0), (0, 2)])
@@ -406,9 +422,10 @@ class TestAnsatzColumns:
         basis = cochain_basis(*key, P.families, AnsatzBounds(1, 1, 1))
         images = [d_total(P, V, {key: z}) for z in basis]
         assert len(images[0]) == 2
+        W = _tagged_module(V)
         for tk in images[0]:
             for t in tuples_for(3, 3, seed=53):
-                cols = _ansatz_columns(lambda z: d_total(P, V, {key: z})[tk], basis, t)
+                cols = _ansatz_columns(lambda U, z: d_total(P, U, {key: z})[tk], W, basis, t)
                 assert cols == [img[tk].value(t) for img in images]
 
     def test_system_is_built_from_the_images(self, monkeypatch):
@@ -423,8 +440,8 @@ class TestAnsatzColumns:
         P, V = ds.alg, regular_bimodule(ds.alg)
         basis = cochain_basis(0, 2, P.families, AnsatzBounds(2, 2))
         tuples = list(itertools.product(P.generators(1), repeat=3))
-        sol, escaped = cohomology.solve_ansatz(lambda z: d_h(P, V, z), basis, obstruction(ds),
-                                               tuples)
+        sol, escaped = cohomology.solve_ansatz(lambda U, z: d_h(P, U, z), V, basis,
+                                               obstruction(ds), tuples)
         assert sol is not None and escaped == 0
 
         values = [d_h(P, V, z) for z in basis] + [obstruction(ds)]
@@ -437,10 +454,10 @@ class TestAnsatzColumns:
 
     def test_value_dependent_site_raises(self):
         # a "differential" that reads its argument again at a site named by
-        # the value it read first: the impulse sees an unrecorded site
+        # the value it read first: that site holds a tagged generator
         ctx = canon_vars(1)
 
-        def odd(gamma):
+        def odd(_V, gamma):
             def value(t):
                 v = gamma.value(t)
                 for _exp, g, _k, _c in v.flat():
@@ -449,10 +466,23 @@ class TestAnsatzColumns:
             return Cochain(0, 2, value)
 
         basis = cochain_basis(0, 2, [GenFamily("x", 1, lo=0)], AnsatzBounds(0, 0, 0))
-        assert odd(basis[0]).value((xg(1), xg(2))) == LambdaPoly.of(
+        assert odd(None, basis[0]).value((xg(1), xg(2))) == LambdaPoly.of(
             ctx, ModElement.of(xg(3))) + LambdaPoly.of(ctx, ModElement.of(xg(6)))
-        with pytest.raises(RuntimeError, match="outside the sites recorded"):
-            _ansatz_columns(odd, basis, (xg(1), xg(2)))
+        with pytest.raises(RuntimeError, match="a site that holds an ansatz term"):
+            _ansatz_columns(odd, None, basis, (xg(1), xg(2)))
+
+    def test_untagged_image_term_raises(self):
+        # a "differential" that adds a constant term is affine, not linear:
+        # that image term carries no tag
+        ctx = canon_vars(1)
+
+        def affine(_V, gamma):
+            one = LambdaPoly.of(ctx, ModElement.of(xg(0)))
+            return Cochain(0, 2, lambda t: gamma.value(t) + one)
+
+        basis = cochain_basis(0, 2, [GenFamily("x", 1, lo=0)], AnsatzBounds(0, 0, 0))
+        with pytest.raises(RuntimeError, match="holds no ansatz term"):
+            _ansatz_columns(affine, None, basis, (xg(1), xg(2)))
 
     def test_escape_propagates_per_tuple(self, tmp_path):
         # on a family capped at max 3 a column can escape while the target
@@ -470,10 +500,11 @@ class TestAnsatzColumns:
             for t in itertools.product(P.generators(3), repeat=2):
                 assert all(P.families[0].contains(g.params) for _e, g, _k, _c in z.value(t).flat())
         with pytest.raises(WindowEscape):
-            _ansatz_columns(lambda z: d_h(P, V, z), basis, (xg(0), xg(1), xg(3)))
+            _ansatz_columns(lambda U, z: d_h(P, U, z), _tagged_module(V), basis,
+                            (xg(0), xg(1), xg(3)))
         tuples = list(itertools.product(P.generators(2), repeat=3))
-        sol, escaped = cohomology.solve_ansatz(lambda z: d_h(P, V, z), basis, obstruction(ds),
-                                               tuples)
+        sol, escaped = cohomology.solve_ansatz(lambda U, z: d_h(P, U, z), V, basis,
+                                               obstruction(ds), tuples)
         assert (sol is not None, escaped) == (True, 10)
 
     def test_coboundary_solve_leaves_escapes_out(self, tmp_path):
