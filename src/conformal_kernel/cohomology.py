@@ -864,7 +864,7 @@ def _tagged_module(V: ConformalModule) -> ConformalModule:
             e, j = rule.entry(b1, b2), j2 if j1 is None else j1
             return e if e is None or j is None else e.apply_mod(
                 lambda me: me.relabel(lambda g: GenIndex(_TAG + g.family, g.params + (j,))))
-        return rule and StructureRule(rule.kind, fn)
+        return None if rule is None else StructureRule(rule.kind, fn)
     return replace(V, left=lift(V.left), right=lift(V.right), lie=lift(V.lie))
 
 
