@@ -886,15 +886,17 @@ def _ansatz_columns(diff: Callable[[ConformalModule, Cochain], Cochain], W: Conf
     """
     m, n, extra, ctx = basis[0].m, basis[0].n, basis[0].extra, basis[0].context
     terms: dict[tuple, int] = {}  # (site, exp, g, k) -> its tag
+    coords: list[list] = [[] for _ in basis]  # each element's (tag, coefficient)
 
     def generic(s):
         if any(g.family.startswith(_TAG) for g in s):
             raise RuntimeError(f"differential read its argument at {s}, "
                                f"a site that holds an ansatz term on {t}")
         data: dict = {}
-        for z in basis:
-            for exp, g, k, _c in z.value(s).flat():
+        for z, co in zip(basis, coords):
+            for exp, g, k, c in z.value(s).flat():
                 j = terms.setdefault((s, exp, g, k), len(terms))
+                co.append((j, c))
                 data.setdefault(exp, {})[GenIndex(_TAG + g.family, g.params + (j,)), k] = 1
         return LambdaPoly(ctx, data)
 
@@ -905,13 +907,12 @@ def _ansatz_columns(diff: Callable[[ConformalModule, Cochain], Cochain], W: Conf
         if j is None:
             raise RuntimeError(f"differential image term {g} on {t} holds no ansatz term")
         parts[j].setdefault(exp, {})[b, k] = c
-    images = dict(zip(terms, (LambdaPoly(image.context, part) for part in parts)))
-    sites, columns = dict.fromkeys(s for s, *_ in terms), []
-    for z in basis:
+    images = [LambdaPoly(image.context, part) for part in parts]
+    columns = []
+    for co in coords:
         acc = Accumulator(image.context)
-        for s in sites:
-            for exp, g, k, c in z.value(s).flat():
-                acc.add(images[s, exp, g, k], c)
+        for j, c in co:
+            acc.add(images[j], c)
         columns.append(acc.build())
     return columns
 
