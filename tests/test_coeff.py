@@ -154,7 +154,6 @@ class TestCoeffSuite:
         t, value = got["coeff_associativity"].witnesses[0]
         assert all(isinstance(e, CoeffElement) for e in t) and not value.is_zero()
 
-
     def test_lie_kind_sweeps_the_bracket_laws_only(self):
         # a lie algebra declares no product: neither the sweep nor the
         # derivation check reads one
