@@ -16,7 +16,8 @@ optional item order for a term that reads the triple (a, b, c) permuted as
     {X_L {Y_M Z}},    {{X_L Y}_{L+M} Z},    {Y_M {X_L Z}}
 
 fix where the spectral variables L and M go, and the terms sum into one
-accumulator per tuple.
+accumulator per tuple.  ``order_part`` keeps the order-n part of a table read
+along a series of rules mu_0, mu_1, ..., which gives the deformation laws.
 
 This module is the one place that states the five Poisson laws, in
 ``poisson_laws``, each as (name, arity, terms).  A two-slot law's terms are
@@ -320,6 +321,19 @@ def leibniz(p: StructureRule, b: StructureRule) -> tuple:
     """{a_L {b_M c}_p}_b - {{a_L b}_b _{L+M} c}_p - {b_M {a_L c}_b}_p: the
     bracket b acts on the product p as a derivation.  Jacobi is leibniz(b, b)."""
     return ((INNER, b, p, 1), (OUTER, p, b, -1), (SWAP, p, b, -1))
+
+
+def order_part(terms: Iterable[tuple], series: dict, n: int, lo: int = 0,
+               sign: int = 1) -> list[tuple]:
+    """The order-n part of a term table read along a series {rule: [r_0,
+    r_1, ...]} keyed by identity: each term once per split i + j = n of its
+    outer and inner orders, both >= lo, times sign.  Other rules have order 0."""
+    out = []
+    for shape, outer, inner, s, *order in terms:
+        outers, inners = series.get(outer, [outer]), series.get(inner, [inner])
+        out += [(shape, outers[i], inners[n - i], sign * s, *order)
+                for i in range(lo, n + 1 - lo) if i < len(outers) and n - i < len(inners)]
+    return out
 
 
 def stack_rows(rows: Sequence[LambdaPoly | Accumulator]) -> LambdaPoly:

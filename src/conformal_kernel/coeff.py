@@ -326,8 +326,10 @@ def closed_form_comparison(alg: ConformalAlgebra, window: ModeWindow) -> CheckRe
     """For a single 1-parameter family with a quadratic bracket, compare the
     computed bracket constants against the two rival closed forms
     (l*m - k*n) and (k*m - l*n) on (x^k)_m, (x^l)_n and report which matches.
-    Raises PreconditionFailed on any other algebra.
+    Raises PreconditionFailed on any other algebra, or a kind without a bracket.
     """
+    if "skew_symmetry" not in KIND_LAWS[alg.kind]:
+        raise PreconditionFailed(f"kind {alg.kind} declares no bracket to compare")
     if len(alg.families) != 1 or alg.families[0].arity != 1:
         raise PreconditionFailed("the closed forms need a single 1-parameter family")
     fam = alg.families[0]

@@ -3,14 +3,14 @@ algebras, obstruction theory, semi-classical limits, Nijenhuis operators and
 linear deformations of noncommutative Poisson conformal algebras.
 
 The deformation parameter is a series index: a deformation of order N is the
-list of bilinear rules mu_0..mu_N (mu_0 the undeformed product) and every
-statement is an order-by-order polynomial identity.  Two independent code
-paths verify associativity of the truncated product: the direct convolution
-identity per order, and the ordinary associativity sweep on an auxiliary
-algebra whose generators carry the series index as an extra parameter.  That
-sweep lifts the base window's generators to every series power 0..N and keeps
-only the triples whose powers sum to at most N: every other triple has a zero
-residual in A[hbar]/hbar^{N+1} whatever the mu's are.
+list of bilinear rules mu_0..mu_N (mu_0 the undeformed product), and every
+statement is the order-n part (``algebra.order_part``) of a Poisson law's term
+table read along the series.  Two independent code paths verify associativity
+of the truncated product: the convolution identity per order, and the ordinary
+associativity sweep on an auxiliary algebra whose generators carry the series
+index as an extra parameter.  That sweep lifts the base window's generators to
+every power 0..N and keeps the triples whose powers sum to at most N: every
+other triple has a zero residual in A[hbar]/hbar^{N+1} whatever the mu's are.
 """
 
 from __future__ import annotations
@@ -19,9 +19,6 @@ import itertools
 from dataclasses import dataclass
 
 from .algebra import (
-    INNER,
-    OUTER,
-    SWAP,
     CheckReport,
     ConformalAlgebra,
     FAIL,
@@ -41,6 +38,7 @@ from .algebra import (
     const_lp,
     leibniz,
     nested_sum,
+    order_part,
     pair,
     run_tuple_check,
     stack_rows,
@@ -58,7 +56,7 @@ from .cohomology import (
     solve_ansatz,
     zero_cochain,
 )
-from .constructors import ConformalModule
+from .constructors import ConformalModule, adjoint_module
 from .symcore import Accumulator, GenIndex, LambdaPoly, ModElement
 
 L, M = "L", "M"
@@ -93,6 +91,10 @@ class DeformationSeries:
     @property
     def order(self) -> int:
         return len(self.higher)
+
+    @property
+    def series(self) -> dict[StructureRule, list[StructureRule]]:
+        return {self.alg.product: [self.alg.product] + self.higher}
 
     def mu(self, k: int) -> StructureRule:
         if k == 0:
@@ -141,18 +143,6 @@ class DeformationSeries:
                                 kind=KIND_NC_POISSON)
 
 
-def _convolution_terms(ds: DeformationSeries, n: int, lo: int) -> list[tuple]:
-    """The term table of sum_{r+s=n} {a_L {b_M c}_{mu_s}}_{mu_r} -
-    {{a_L b}_{mu_s}_{L+M} c}_{mu_r} over r, s >= lo."""
-    return [term for r in range(lo, n + 1 - lo)
-            for term in ((INNER, ds.mu(r), ds.mu(n - r), 1), (OUTER, ds.mu(r), ds.mu(n - r), -1))]
-
-
-def _convolution_residual(ds: DeformationSeries, n: int, a, b, c) -> LambdaPoly:
-    """The order-n convolution identity at (a, b, c): r and s from 0."""
-    return nested_sum(_convolution_terms(ds, n, 0), a, b, c).build()
-
-
 def _hbar_associativity(ds: DeformationSeries, window: int) -> CheckReport:
     """Associativity of A[hbar]/hbar^{N+1} on the base window's generators
     lifted to the series powers 0..N.  A triple whose powers sum past N is
@@ -174,11 +164,11 @@ def check_n_deformation(ds: DeformationSeries, window: int = 3,
                         cross_check: bool = True) -> CheckReport:
     """Order-by-order associativity of the truncated deformation."""
     gens = [ModElement.of(g) for g in ds.alg.generators(window)]
-    orders = range(ds.order + 1)
+    parts = [order_part(associator(ds.alg.product), ds.series, n) for n in range(ds.order + 1)]
     rep = run_tuple_check(
         "n_deformation",
-        ((n,) + t for n in orders for t in itertools.product(gens, repeat=3)),
-        lambda n, a, b, c: _convolution_residual(ds, n, a, b, c),
+        ((n,) + t for n in range(len(parts)) for t in itertools.product(gens, repeat=3)),
+        lambda n, a, b, c: nested_sum(parts[n], a, b, c).build(),
     )
     if cross_check and rep.status != "inconclusive":
         alt = _hbar_associativity(ds, window)
@@ -200,11 +190,12 @@ def infinitesimal_is_cocycle(ds: DeformationSeries, window: int = 3) -> CheckRep
         raise PreconditionFailed("series has no first-order term")
     mu1 = bilinear_cochain(ds.mu(1))
     dmu1 = d_h(ds.alg, regular_bimodule(ds.alg), mu1)
+    first = order_part(associator(ds.alg.product), ds.series, 1)
     disagree = 0
 
     def residual(a, b, c):
         nonlocal disagree
-        direct = _convolution_residual(ds, 1, *map(ModElement.of, (a, b, c)))
+        direct = nested_sum(first, *map(ModElement.of, (a, b, c))).build()
         if dmu1.value((a, b, c)).rename_context((L, M)) != direct:
             disagree += 1
         return direct
@@ -241,7 +232,7 @@ def obstruction(ds: DeformationSeries) -> Cochain:
     """theta_n as a (0, 3)-cochain: minus the order-(n+1) convolution sum
     over r, s >= 1, the terms that do not hold mu_{n+1}; d_H theta_n = 0
     whenever the series is a conformal n-deformation."""
-    terms = [(shape, o, i, -sign) for shape, o, i, sign in _convolution_terms(ds, ds.order + 1, 1)]
+    terms = order_part(associator(ds.alg.product), ds.series, ds.order + 1, lo=1, sign=-1)
     ctx = canon_vars(2)
 
     def value(gens):
@@ -416,24 +407,17 @@ def linear_deformation_check(P: ConformalAlgebra, varpi: StructureRule,
                for r in check_suite(pair_alg, window)]
 
     prod, br = P.product, P.bracket
-    # the parts linear in t of associativity, Jacobi (negated) and Leibniz
-    # for the product prod + t*varpi and the bracket br + t*omega
-    cross = {
-        # Hochschild condition of varpi over the base product
-        "cross_product_cocycle": ((INNER, varpi, prod, 1), (INNER, prod, varpi, 1),
-                                  (OUTER, varpi, prod, -1), (OUTER, prod, varpi, -1)),
-        # Chevalley-Eilenberg condition of omega over the base bracket
-        "cross_bracket_cocycle": ((OUTER, omega, br, 1), (INNER, omega, br, -1), (SWAP, omega, br, 1),
-                                  (INNER, br, omega, -1), (OUTER, br, omega, 1), (SWAP, br, omega, 1)),
-        # mixed condition linking varpi and omega
-        "cross_mixed_cocycle": leibniz(varpi, br) + leibniz(prod, omega),
-    }
+    # the t-linear parts of associativity (varpi's Hochschild condition), Jacobi
+    # (negated: omega's Chevalley-Eilenberg condition) and Leibniz (the mixed
+    # condition) for the product prod + t*varpi and the bracket br + t*omega
+    series = {prod: [prod, varpi], br: [br, omega]}
+    cross = {"cross_product_cocycle": order_part(associator(prod), series, 1),
+             "cross_bracket_cocycle": order_part(leibniz(br, br), series, 1, sign=-1),
+             "cross_mixed_cocycle": order_part(leibniz(prod, br), series, 1)}
     triples = list(itertools.product(gens, repeat=3))
     reports += [run_tuple_check(name, triples, table_residual(terms)) for name, terms in cross.items()]
 
     # the graded 2-cocycle assertion through the total differential
-    from .constructors import adjoint_module
-
     V = adjoint_module(P)
     graded = {(0, 2): bilinear_cochain(varpi), (2, 0): bilinear_cochain(omega).retag(2, 0)}
     gen_pool = P.generators(window)

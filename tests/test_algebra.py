@@ -2,22 +2,29 @@ import dataclasses
 import itertools
 import pickle
 import random
+from collections import Counter
 from fractions import Fraction as Q
 
 import pytest
 
 from conformal_kernel.algebra import (
+    INNER,
+    OUTER,
     RULE_VAR,
+    SWAP,
     ConformalAlgebra,
     GenFamily,
     LinearRule,
     StructureRule,
     WindowEscape,
+    associator,
     check_poisson,
     check_suite,
     commutator_bracket,
     eval_op,
+    leibniz,
     nth_product_table,
+    order_part,
     pair,
     pair_at,
     suite_passes,
@@ -285,6 +292,58 @@ class TestWindowEscape:
         assert type(back) is WindowEscape
         assert back.what == e.what
         assert str(back) == str(e) == "outside rule window: ('product', x[3], x[1])"
+
+
+class TestOrderPart:
+    """order_part reads a term table along a series of rules {rule: [r_0, r_1,
+    ...]}; the tables are compared as multisets, since the terms of one
+    order sum into one accumulator."""
+
+    def test_linear_parts_are_the_cross_tables(self):
+        # the t-linear parts of associativity, Jacobi and Leibniz for the
+        # product prod + t*varpi and the bracket br + t*omega, spelled out
+        prod, varpi = StructureRule.zero("product"), StructureRule.zero("product")
+        br, omega = StructureRule.zero("bracket"), StructureRule.zero("bracket")
+        series = {prod: [prod, varpi], br: [br, omega]}
+        product_cocycle = [(INNER, varpi, prod, 1), (INNER, prod, varpi, 1),
+                           (OUTER, varpi, prod, -1), (OUTER, prod, varpi, -1)]
+        bracket_cocycle = [(OUTER, omega, br, 1), (INNER, omega, br, -1), (SWAP, omega, br, 1),
+                           (INNER, br, omega, -1), (OUTER, br, omega, 1), (SWAP, br, omega, 1)]
+        mixed_cocycle = list(leibniz(varpi, br) + leibniz(prod, omega))
+        assert Counter(order_part(associator(prod), series, 1)) == Counter(product_cocycle)
+        # Jacobi's linear part is the bracket cocycle negated
+        negated = [(shape, o, i, -sign) for shape, o, i, sign in bracket_cocycle]
+        assert Counter(order_part(leibniz(br, br), series, 1)) == Counter(negated)
+        assert Counter(order_part(leibniz(br, br), series, 1, sign=-1)) == Counter(bracket_cocycle)
+        assert Counter(order_part(leibniz(prod, br), series, 1)) == Counter(mixed_cocycle)
+
+    def test_orders_past_the_series_or_lo_are_empty(self):
+        mu = [StructureRule.zero("product") for _ in range(3)]
+        series = {mu[0]: mu}
+        assoc = associator(mu[0])
+        assert order_part(assoc, series, 0) == list(assoc)
+        # order 4 splits only as 2 + 2, order 5 not at all
+        assert order_part(assoc, series, 4) == [(INNER, mu[2], mu[2], 1), (OUTER, mu[2], mu[2], -1)]
+        assert order_part(assoc, series, 5) == []
+        # with both orders at least 1, order 2 splits only as 1 + 1 and
+        # order 1 not at all
+        assert order_part(assoc, series, 2, lo=1, sign=-1) == [
+            (INNER, mu[1], mu[1], -1), (OUTER, mu[1], mu[1], 1)]
+        assert order_part(assoc, series, 1, lo=1) == []
+        assert order_part(assoc, series, 0, lo=1) == []
+
+    def test_a_rule_outside_the_series_has_order_zero(self):
+        mu0, mu1 = (StructureRule.zero("product") for _ in range(2))
+        other = StructureRule.zero("bracket")
+        series = {mu0: [mu0, mu1]}
+        table = leibniz(mu0, other) + ((INNER, mu0, other, 1, (2, 0, 1)),)
+        assert order_part(table, series, 0) == list(table)
+        # the item order of a permuted term is kept
+        assert Counter(order_part(table, series, 1)) == Counter([
+            (INNER, other, mu1, 1), (OUTER, mu1, other, -1), (SWAP, mu1, other, -1),
+            (INNER, mu1, other, 1, (2, 0, 1))])
+        assert order_part(table, series, 2) == []
+        assert order_part(leibniz(other, other), series, 1) == []
 
 
 class TestPairingKernel:

@@ -213,6 +213,16 @@ class TestClosedFormNote:
         with pytest.raises(PreconditionFailed, match="single 1-parameter family"):
             closed_form_comparison(alg, ModeWindow(-1, 1, 0))
 
+    @pytest.mark.parametrize("kind", ["associative", "commutative"])
+    @pytest.mark.parametrize("with_bracket", [False, True])
+    def test_not_applicable_for_a_kind_without_a_bracket(self, kind, with_bracket):
+        # the kind declares no bracket, whether or not a rule is passed for one
+        base = poly_poisson()
+        alg = ConformalAlgebra("polyx", base.families, product=base.product,
+                               bracket=base.bracket if with_bracket else None, kind=kind)
+        with pytest.raises(PreconditionFailed, match=f"kind {kind} declares no bracket"):
+            closed_form_comparison(alg, ModeWindow(-1, 1, 1))
+
 
 class TestComposedCoefficientConformal:
     def test_coeff_plus_derivation_gives_quadratic_algebra(self):

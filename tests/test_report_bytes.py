@@ -29,6 +29,9 @@ CASES = {
     "coeff_ex2_17": ["coeff", "demos/ex2_17.alg", "--modes=-3..3", "--window", "4"],
     # the lie kind: only the bracket's laws and its derivation check
     "coeff_ex2_17_lie": ["coeff", "tests/manifests/ex2_17_lie.alg"],
+    # kinds without a bracket: the closed-form comparison is left out
+    "coeff_ex2_17_associative": ["coeff", "tests/manifests/ex2_17_associative.alg"],
+    "coeff_ex2_17_commutative": ["coeff", "tests/manifests/ex2_17_commutative.alg"],
     # not one 1-parameter family: the closed-form comparison is left out
     "coeff_mat2": ["coeff", "demos/mat2.alg", "--modes=-2..2", "--window", "2"],
     "cohomology_ex2_17": ["cohomology", "demos/ex2_17.alg", "--d2-samples", "2", "--seed", "7"],

@@ -641,7 +641,8 @@ class TestSympyOracle:
             self.assert_sweep(sympy, reports[name], 3, law)
 
     def test_convolution_and_obstruction(self, sympy):
-        from conformal_kernel.deform import DeformationSeries, _convolution_residual, obstruction
+        from conformal_kernel.algebra import associator, nested_sum, order_part
+        from conformal_kernel.deform import DeformationSeries, obstruction
 
         P, Ls, Ms = self.laws(sympy)
         rng = random.Random(67)
@@ -655,7 +656,7 @@ class TestSympyOracle:
                 conv = sum((P(t[r], sa, P(t[n - r], sb, sc, Ms), Ls)
                             - P(t[r], P(t[n - r], sa, sb, Ls), sc, Ls + Ms) for r in range(n + 1)),
                            sympy.Integer(0))
-                got = to_sympy(sympy, _convolution_residual(ds, n, a, b, c))
+                got = to_sympy(sympy, nested_sum(order_part(associator(mu[0]), ds.series, n), a, b, c).build())
                 assert sympy.expand(got - conv) == 0, (n, a, b, c)
         theta = obstruction(ds)  # theta_2, a sum over r + s = 3 with r, s >= 1
         for gens in itertools.product(self.GENS, repeat=3):
