@@ -323,16 +323,16 @@ def leibniz(p: StructureRule, b: StructureRule) -> tuple:
     return ((INNER, b, p, 1), (OUTER, p, b, -1), (SWAP, p, b, -1))
 
 
-def order_part(terms: Iterable[tuple], series: dict, n: int, lo: int = 0,
-               sign: int = 1) -> list[tuple]:
+def order_part(terms: Iterable[tuple], series: dict, n: int, sign: int = 1) -> list[tuple]:
     """The order-n part of a term table read along a series {rule: [r_0,
     r_1, ...]} keyed by identity: each term once per split i + j = n of its
-    outer and inner orders, both >= lo, times sign.  Other rules have order 0."""
+    outer and inner orders, times sign.  A split needing an order past the
+    series is left out, and other rules have order 0."""
     out = []
     for shape, outer, inner, s, *order in terms:
         outers, inners = series.get(outer, [outer]), series.get(inner, [inner])
         out += [(shape, outers[i], inners[n - i], sign * s, *order)
-                for i in range(lo, n + 1 - lo) if i < len(outers) and n - i < len(inners)]
+                for i in range(n + 1) if i < len(outers) and n - i < len(inners)]
     return out
 
 

@@ -82,7 +82,7 @@ def run(command: str, man, args) -> list:
         reports.append(coeff_derivation_check(alg, ModeWindow(lo, hi, max(1, window - 1))))
         reports.append(annihilation_relations_check(alg, mw, seed=args.seed))
         reports.append(binomial_identity_check(8, 8))
-        with suppress(PreconditionFailed):  # left out unless one 1-parameter family
+        with suppress(PreconditionFailed):  # left out unless a bracket and one 1-parameter family
             reports.append(closed_form_comparison(alg, mw))
         return reports
 

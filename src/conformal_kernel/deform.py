@@ -229,10 +229,10 @@ def equivalence_check(ds: DeformationSeries, ds2: DeformationSeries,
 
 
 def obstruction(ds: DeformationSeries) -> Cochain:
-    """theta_n as a (0, 3)-cochain: minus the order-(n+1) convolution sum
-    over r, s >= 1, the terms that do not hold mu_{n+1}; d_H theta_n = 0
-    whenever the series is a conformal n-deformation."""
-    terms = order_part(associator(ds.alg.product), ds.series, ds.order + 1, lo=1, sign=-1)
+    """theta_n as a (0, 3)-cochain: minus the order-(n+1) convolution sum,
+    which leaves out the terms of mu_{n+1} since the series does not hold
+    it; d_H theta_n = 0 whenever the series is a conformal n-deformation."""
+    terms = order_part(associator(ds.alg.product), ds.series, ds.order + 1, sign=-1)
     ctx = canon_vars(2)
 
     def value(gens):

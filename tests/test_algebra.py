@@ -317,20 +317,19 @@ class TestOrderPart:
         assert Counter(order_part(leibniz(br, br), series, 1, sign=-1)) == Counter(bracket_cocycle)
         assert Counter(order_part(leibniz(prod, br), series, 1)) == Counter(mixed_cocycle)
 
-    def test_orders_past_the_series_or_lo_are_empty(self):
+    def test_orders_past_the_series_are_empty(self):
         mu = [StructureRule.zero("product") for _ in range(3)]
         series = {mu[0]: mu}
         assoc = associator(mu[0])
         assert order_part(assoc, series, 0) == list(assoc)
+        # order 3 splits as 1 + 2 and 2 + 1, leaving out the mu_3 of 0 + 3
+        # and 3 + 0: the obstruction theta_2
+        assert Counter(order_part(assoc, series, 3, sign=-1)) == Counter([
+            (INNER, mu[1], mu[2], -1), (INNER, mu[2], mu[1], -1),
+            (OUTER, mu[1], mu[2], 1), (OUTER, mu[2], mu[1], 1)])
         # order 4 splits only as 2 + 2, order 5 not at all
         assert order_part(assoc, series, 4) == [(INNER, mu[2], mu[2], 1), (OUTER, mu[2], mu[2], -1)]
         assert order_part(assoc, series, 5) == []
-        # with both orders at least 1, order 2 splits only as 1 + 1 and
-        # order 1 not at all
-        assert order_part(assoc, series, 2, lo=1, sign=-1) == [
-            (INNER, mu[1], mu[1], -1), (OUTER, mu[1], mu[1], 1)]
-        assert order_part(assoc, series, 1, lo=1) == []
-        assert order_part(assoc, series, 0, lo=1) == []
 
     def test_a_rule_outside_the_series_has_order_zero(self):
         mu0, mu1 = (StructureRule.zero("product") for _ in range(2))
