@@ -365,6 +365,29 @@ class TestCocycleAndSolve:
             assert cochain_zero_on(coch, tuples_for(coch.slots, 4, seed=37))
 
 
+    def test_answers_are_pinned(self, setup, monkeypatch):
+        # the systems coboundary_solve hands to solve_exact, and its answers,
+        # in the tests above: degree 2 and degree 1 targets
+        seen = []
+        solve = cohomology.solve_exact
+        monkeypatch.setattr(cohomology, "solve_exact", lambda rows, rhs: seen.append(
+            (len(rows), len(rows[0]), solve(rows, rhs))) or seen[-1][-1])
+        P, V = setup
+        N = linear_cochain(lambda g: ModElement.of(xg(g.params[0]), DPoly.d_power(1, g.params[0])))
+        bounds = AnsatzBounds(d_deg=1, l_deg=1, param_deg=1)
+        coboundary_solve(P, V, d_total(P, V, {(1, 0): N}), bounds,
+                         lambda s: tuples_for(s, 5, seed=17))
+        coboundary_solve(P, V, {(0, 2): zero_cochain(0, 2), (2, 0): zero_cochain(2, 0)},
+                         bounds, lambda s: tuples_for(s, 4, seed=29))
+        gamma = d_ce_degree0(V, ModElement.of(xg(2), DPoly.d_power(1)) + ModElement.of(xg(1)))
+        coboundary_solve(P, V, {(1, 0): gamma}, AnsatzBounds(d_deg=2, l_deg=0),
+                         lambda s: tuples_for(s, 6, seed=41))
+        coboundary_solve(P, V, {(1, 0): linear_cochain(lambda g: ModElement.of(g))},
+                         AnsatzBounds(d_deg=2, l_deg=0), lambda s: tuples_for(s, 6, seed=47))
+        sparse = [(r, c, x and {j: v for j, v in enumerate(x) if v}) for r, c, x in seen]
+        assert sparse == [(43, 12, {9: 1}), (39, 12, {}), (9, 12, {3: 1}), (8, 12, None)]
+
+
 class TestDegreeZeroSolve:
     def test_b1_membership_decided(self, setup):
         # gamma(a) = a_{-D} v lies in the coboundaries; the solver recovers
@@ -398,6 +421,54 @@ def ex2_17(doubled=False):
         P = ConformalAlgebra(P.name, list(P.families), product=prod, bracket=P.bracket,
                              kind=P.kind)
     return P
+
+
+def monomial_values(m, n, fam, bounds, s):
+    """Each cochain_basis element's value at the site s, read off its
+    monomial prod(p_i^d_i) * (slot-var monomial) * D^beta * x[sum p_i - shift]
+    in the basis's order, symmetrized when m >= 2."""
+    ctx = canon_vars(m + n - 1)
+    out = []
+    for pe in itertools.product(range(bounds.param_deg + 1), repeat=m + n):
+        if sum(pe) > bounds.param_deg:
+            continue
+        for ve in itertools.product(range(bounds.l_deg + 1), repeat=m + n - 1):
+            if sum(ve) > bounds.l_deg:
+                continue
+            for beta in range(bounds.d_deg + 1):
+                for shift in range(bounds.d_deg + bounds.l_deg + 1):
+                    def raw(gens, pe=pe, ve=ve, beta=beta, shift=shift):
+                        qs = [g.params[0] for g in gens]
+                        c = 1
+                        for q, d in zip(qs, pe):
+                            c *= q ** d
+                        tgt = sum(qs) - shift
+                        if c == 0 or not fam.contains((tgt,)):
+                            return LambdaPoly.zero(ctx)
+                        return LambdaPoly(ctx, {ve: {(GenIndex(fam.name, (tgt,)), beta): c}})
+                    out.append(cohomology.symmetrize(raw, m, n)(s) if m >= 2 else raw(s))
+    return out
+
+
+class TestBasisValues:
+    """The basis elements' values at the window-3 sites, against their
+    monomials."""
+
+    @pytest.mark.parametrize("key, bounds, hi", [
+        ((0, 2), AnsatzBounds(1, 1), None),
+        ((0, 2), AnsatzBounds(2, 2), None),
+        ((2, 0), AnsatzBounds(1, 1, 1), None),
+        ((0, 2), AnsatzBounds(2, 2), 3),
+    ])
+    def test_values_equal_monomials(self, key, bounds, hi):
+        fam = GenFamily("x", 1, lo=0, hi=hi)
+        basis = cochain_basis(*key, [fam], bounds)
+        zeros = 0
+        for s in itertools.product(fam.members(3), repeat=sum(key)):
+            want = monomial_values(*key, fam, bounds, s)
+            assert [z.value(s) for z in basis] == want
+            zeros += sum(v.is_zero() for v in want)
+        assert zeros > 0
 
 
 class TestAnsatzColumns:

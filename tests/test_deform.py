@@ -287,6 +287,25 @@ class TestExtension:
         assert extend_deformation(ds, AnsatzBounds(2, 2), window=1) is not None
         assert len(evaluated) == 8
 
+    @pytest.mark.parametrize("window", [1, 2, 3])
+    @pytest.mark.parametrize("bounds, want", [((1, 1), None),
+                                              ((2, 2), {77: Q(-1, 2), 122: Q(1, 2)})])
+    def test_solutions_are_pinned(self, monkeypatch, window, bounds, want):
+        # the exact solution of d_H mu_2 = theta_1 on ex2_17: none at
+        # bounds (1, 1), and two of the 270 coefficients at (2, 2)
+        seen = []
+        solve = cohomology.solve_exact
+        monkeypatch.setattr(cohomology, "solve_exact",
+                            lambda rows, rhs: seen.append(solve(rows, rhs)) or seen[-1])
+        ds = parse_file(os.path.join(DEMOS, "ex2_17.alg")).deformation().truncate(1)
+        ext = extend_deformation(ds, AnsatzBounds(*bounds), window)
+        x, = seen
+        assert (x and {j: v for j, v in enumerate(x) if v}) == want
+        assert (ext is None) == (want is None)
+        if want is not None:
+            assert len(x) == 270
+            assert check_n_deformation(ext, window).status == "pass"
+
     def test_bounds_too_small(self):
         ds1 = order2_series().truncate(1)
         # lambda-degree 0 cannot host the L^2-valued solution

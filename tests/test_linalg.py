@@ -50,3 +50,78 @@ class TestSolveExact:
             rows.append(rows[0][:])
             rhs.append(rhs[0] + 1)
             assert solve_exact(rows, rhs) is None
+
+
+def fraction_elimination(rows, rhs):
+    """Gauss-Jordan on sparse Fraction rows, each scaled to a leading 1:
+    the elimination solve_exact used before it went fraction-free, kept as
+    an oracle for its answers."""
+    if not rows:
+        return []
+    ncols = len(rows[0])
+    pivots = {}
+    seen = set()
+    for row, b in zip(rows, rhs):
+        r = {c: v for c, v in enumerate(row) if v}
+        if b:
+            r[ncols] = b
+        key = tuple(r.items())
+        if key in seen:
+            continue
+        seen.add(key)
+        c = -1
+        while True:
+            hits = [k for k in r if c < k < ncols and k in pivots]
+            if not hits:
+                break
+            c = min(hits)
+            f = r[c]
+            for k, v in pivots[c].items():
+                nv = r.get(k, 0) - f * v
+                if nv:
+                    r[k] = nv
+                else:
+                    del r[k]
+        lead = min((k for k in r if k < ncols), default=None)
+        if lead is None:
+            if r:
+                return None
+            continue
+        inv = Q(1) / r[lead]
+        pivots[lead] = {k: v * inv for k, v in r.items()}
+    x = [Q(0)] * ncols
+    for c in sorted(pivots, reverse=True):
+        s = Q(0)
+        for k, v in pivots[c].items():
+            if k == ncols:
+                s += v
+            elif k > c:
+                s -= v * x[k]
+        x[c] = s
+    return x
+
+
+class TestAgainstFractionElimination:
+    def test_random_systems_with_denominators(self):
+        rng = random.Random(11)
+        solved = 0
+        for _ in range(200):
+            ncols = rng.randint(1, 9)
+            rows = rand_system(rng, rng.randint(1, 12), ncols, rng.randint(1, 6))
+            rhs = [Q(rng.randint(-4, 4), rng.randint(1, 3)) if rng.random() < 0.3 else
+                   sum(a * Q(j + 1, 2) for j, a in enumerate(row)) for row in rows]
+            x = fraction_elimination(rows, rhs)
+            assert solve_exact(rows, rhs) == x
+            solved += x is not None
+        assert 20 < solved < 200
+
+    def test_entries_that_grow_under_elimination(self):
+        # a dense integer system whose cross-multiplied entries grow with
+        # every step; the answer is exact and equals the oracle's
+        n = 9
+        rows = [[Q((i + 2) ** j + (i * j) % 7) for j in range(n)] for i in range(n)]
+        rows.append([a + b for a, b in zip(rows[0], rows[3])])
+        x0 = [Q((-1) ** j * (j + 1), j + 2) for j in range(n)]
+        rhs = [sum(a * x for a, x in zip(row, x0)) for row in rows]
+        x = solve_exact(rows, rhs)
+        assert x == fraction_elimination(rows, rhs) == x0
