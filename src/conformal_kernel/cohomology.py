@@ -28,6 +28,7 @@ import itertools
 import os
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
+from math import prod
 from typing import Callable, Iterable, Sequence
 
 from .algebra import (
@@ -797,7 +798,84 @@ class AnsatzBounds:
     param_deg: int = 2
 
 
-def cochain_basis(m: int, n: int, families, bounds: AnsatzBounds) -> list[Cochain]:
+# an ansatz term's tag: a trailing generator parameter, under a family
+# prefix that no manifest name can spell
+_TAG = "τ·"
+
+
+def _tag(g: GenIndex, j: int) -> GenIndex:
+    return GenIndex(_TAG + g.family, g.params + (j,))
+
+
+def _untag(g: GenIndex) -> tuple[GenIndex, int | None]:
+    if g.family.startswith(_TAG):
+        return GenIndex(g.family[len(_TAG):], g.params[:-1]), g.params[-1]
+    return g, None
+
+
+def _from_terms(ctx: tuple[str, ...], terms: Iterable[tuple]) -> LambdaPoly:
+    """The LambdaPoly of distinct (exponent, generator, D-power, scalar) terms."""
+    data: dict = {}
+    for exp, g, k, c in terms:
+        data.setdefault(exp, {})[g, k] = c
+    return LambdaPoly(ctx, data)
+
+
+class CochainBasis(list):
+    """cochain_basis's Cochains, element j the monomial monomials[j] = (d,
+    slot-var exponents, beta, shift).  site(s), kept per site, is the table
+    (column, exponent, generator, D-power, coefficient) of all their values
+    at s, symmetrized for m >= 2 with each raw term tagged by its column;
+    element j reads column j.  generic holds each distinct term of site(s)
+    once under a tag of its own; owners[tag] lists its (column, coefficient)s."""
+
+    def __init__(self, m: int, n: int, fam, bounds: AnsatzBounds):
+        self.m, self.n, self.fam = m, n, fam
+        self.context = canon_vars(m + n - 1)
+        self.param_exps = [pe for pe in itertools.product(range(bounds.param_deg + 1), repeat=m + n)
+                           if sum(pe) <= bounds.param_deg]
+        var_exps = [ve for ve in itertools.product(range(bounds.l_deg + 1), repeat=m + n - 1)
+                    if sum(ve) <= bounds.l_deg]
+        self.shifts = range(bounds.d_deg + bounds.l_deg + 1)
+        self.monomials = list(itertools.product(self.param_exps, var_exps,
+                                                range(bounds.d_deg + 1), self.shifts))
+        self.site = lru_cache(maxsize=None)(self._site)
+        self.owners: list[list[tuple[int, Q]]] = []
+        self.generic = Cochain(m, n, self._generic)
+        super().__init__(Cochain(m, n, partial(self._column, j)) for j in range(len(self.monomials)))
+
+    def _raw(self, s: tuple[GenIndex, ...]) -> list[tuple]:
+        ps = [g.params[0] for g in s]
+        coeff = {pe: prod(map(pow, ps, pe)) for pe in self.param_exps}
+        tgt = {h: GenIndex(self.fam.name, (sum(ps) - h,)) for h in self.shifts
+               if self.fam.contains((sum(ps) - h,))}
+        return [(j, ve, tgt[h], beta, coeff[pe])
+                for j, (pe, ve, beta, h) in enumerate(self.monomials) if coeff[pe] and h in tgt]
+
+    def _site(self, s: tuple[GenIndex, ...]) -> list[tuple]:
+        if self.m < 2:
+            return self._raw(s)
+        sym = symmetrize(lambda gens: _from_terms(self.context, (
+            (exp, _tag(g, j), k, c) for j, exp, g, k, c in self._raw(gens))), self.m, self.n)
+        return [(j, exp, g, k, c) for exp, tg, k, c in sym(s).flat() for g, j in [_untag(tg)]]
+
+    def _column(self, j: int, s: tuple[GenIndex, ...]) -> LambdaPoly:
+        return _from_terms(self.context, (row[1:] for row in self.site(s) if row[0] == j))
+
+    def _generic(self, s: tuple[GenIndex, ...]) -> LambdaPoly:
+        if any(g.family.startswith(_TAG) for g in s):
+            raise RuntimeError(f"differential read its argument at {s}, "
+                               f"a site that holds an ansatz term")
+        terms: dict[tuple, list] = {}
+        for j, exp, g, k, c in self.site(s):
+            terms.setdefault((exp, g, k), []).append((j, c))
+        first = len(self.owners)
+        self.owners += terms.values()
+        return _from_terms(self.context, ((exp, _tag(g, first + i), k, 1)
+                                          for i, (exp, g, k) in enumerate(terms)))
+
+
+def cochain_basis(m: int, n: int, families, bounds: AnsatzBounds) -> CochainBasis:
     """Monomial basis of (m, n)-cochains on a single 1-parameter family:
 
         (prod p_i^{d_i}) * (slot-var monomial) * D^beta * x[sum p_i - shift]
@@ -812,47 +890,7 @@ def cochain_basis(m: int, n: int, families, bounds: AnsatzBounds) -> list[Cochai
     fams = [f for f in families if f.arity == 1]
     if len(fams) != 1 or len(families) != 1:
         raise UnboundedAnsatz("ansatz basis implemented for single 1-parameter families")
-    fam = fams[0]
-    s = m + n
-    nvars = s - 1
-    out = []
-
-    param_exps = [pe for pe in itertools.product(range(bounds.param_deg + 1), repeat=s)
-                  if sum(pe) <= bounds.param_deg]
-    var_exps = [ve for ve in itertools.product(range(bounds.l_deg + 1), repeat=nvars)
-                if sum(ve) <= bounds.l_deg]
-
-    for pe in param_exps:
-        for ve in var_exps:
-            for beta in range(bounds.d_deg + 1):
-                for shift in range(bounds.d_deg + bounds.l_deg + 1):
-                    def raw(gens, pe=pe, ve=ve, beta=beta, shift=shift):
-                        ps = [g.params[0] for g in gens]
-                        tgt = sum(ps) - shift
-                        ctx = canon_vars(nvars)
-                        if not fam.contains((tgt,)):
-                            return LambdaPoly.zero(ctx)
-                        coeff = 1
-                        for p, d in zip(ps, pe):
-                            coeff *= p ** d
-                        if coeff == 0:
-                            return LambdaPoly.zero(ctx)
-                        return LambdaPoly(ctx, {ve: {(GenIndex(fam.name, (tgt,)), beta): coeff}})
-
-                    coch = Cochain(m, n, symmetrize(raw, m, n)) if m >= 2 else Cochain(m, n, raw)
-                    out.append(coch)
-    return out
-
-
-# an ansatz term's tag: a trailing generator parameter, under a family
-# prefix that no manifest name can spell
-_TAG = "τ·"
-
-
-def _untag(g: GenIndex) -> tuple[GenIndex, int | None]:
-    if g.family.startswith(_TAG):
-        return GenIndex(g.family[len(_TAG):], g.params[:-1]), g.params[-1]
-    return g, None
+    return CochainBasis(m, n, fams[0], bounds)
 
 
 def _tagged_module(V: ConformalModule) -> ConformalModule:
@@ -863,98 +901,85 @@ def _tagged_module(V: ConformalModule) -> ConformalModule:
             (b1, j1), (b2, j2) = _untag(g1), _untag(g2)
             e, j = rule.entry(b1, b2), j2 if j1 is None else j1
             return e if e is None or j is None else e.apply_mod(
-                lambda me: me.relabel(lambda g: GenIndex(_TAG + g.family, g.params + (j,))))
+                lambda me: me.relabel(lambda g: _tag(g, j)))
         return None if rule is None else StructureRule(rule.kind, fn)
     return replace(V, left=lift(V.left), right=lift(V.right), lie=lift(V.lie))
 
 
 def _ansatz_columns(diff: Callable[[ConformalModule, Cochain], Cochain], W: ConformalModule,
-                    basis: Sequence[Cochain], t: tuple[GenIndex, ...]) -> list[LambdaPoly]:
-    """diff(V, z).value(t) for every z in `basis` (one bidegree), by
-    linearity, from one evaluation of diff(W, generic), W = _tagged_module(V).
-
-    On a fixed tuple the differentials read their argument gamma only
-    through gamma.value(s), at sites s that t and the rules fix, and their
-    value is Q-linear in those values.  The generic element holds at each
-    site it is read at every distinct term of the basis values there, each
-    under its own tag.  W carries the tags through V's rules, so the image
-    terms with tag j, untagged, are the image of term j alone, and each
-    column sums its coefficients times those images.  A read at a site that
-    holds a tagged generator, or an image term without a tag, raises: the
-    differential is then not linear in this sense.  A WindowEscape
-    propagates.
-    """
-    m, n, extra, ctx = basis[0].m, basis[0].n, basis[0].extra, basis[0].context
-    terms: dict[tuple, int] = {}  # (site, exp, g, k) -> its tag
-    coords: list[list] = [[] for _ in basis]  # each element's (tag, coefficient)
-
-    def generic(s):
-        if any(g.family.startswith(_TAG) for g in s):
-            raise RuntimeError(f"differential read its argument at {s}, "
-                               f"a site that holds an ansatz term on {t}")
-        data: dict = {}
-        for z, co in zip(basis, coords):
-            for exp, g, k, c in z.value(s).flat():
-                j = terms.setdefault((s, exp, g, k), len(terms))
-                co.append((j, c))
-                data.setdefault(exp, {})[GenIndex(_TAG + g.family, g.params + (j,)), k] = 1
-        return LambdaPoly(ctx, data)
-
-    image = diff(W, Cochain(m, n, generic, extra)).value(t)
-    parts: list[dict] = [{} for _ in terms]
-    for exp, g, k, c in image.flat():
-        b, j = _untag(g)
-        if j is None:
+                    basis: CochainBasis, t: tuple[GenIndex, ...], first: int = 0
+                    ) -> dict[tuple, dict[int, Q]]:
+    """The block {(exponent, generator, D-power): {first + j: coefficient}}
+    of diff(V, basis[j]).value(t) for all j, zero sums dropped, by linearity
+    from one evaluation of diff(W, basis.generic), W = _tagged_module(V):
+    on a fixed tuple a differential reads gamma only through gamma.value(s),
+    Q-linearly, and W carries the tags through V's rules, so an image term
+    with a tag, untagged, is the image of that tag's term alone, spread over
+    its owners' columns.  A read at a site that holds a tagged generator, or
+    an image term without a tag, raises: the differential is then not
+    linear in this sense.  A WindowEscape propagates."""
+    block: dict[tuple, dict[int, Q]] = {}
+    for exp, g, k, c in diff(W, basis.generic).value(t).flat():
+        b, tag = _untag(g)
+        if tag is None:
             raise RuntimeError(f"differential image term {g} on {t} holds no ansatz term")
-        parts[j].setdefault(exp, {})[b, k] = c
-    images = [LambdaPoly(image.context, part) for part in parts]
-    columns = []
-    for co in coords:
-        acc = Accumulator(image.context)
-        for j, c in co:
-            acc.add(images[j], c)
-        columns.append(acc.build())
-    return columns
+        row = block.setdefault((exp, b, k), {})
+        for j, cz in basis.owners[tag]:
+            row[first + j] = row.get(first + j, 0) + c * cz
+    return {term: kept for term, row in block.items()
+            if (kept := {j: v for j, v in row.items() if v})}
+
+
+def _block(values: Sequence[LambdaPoly], first: int = 0) -> dict[tuple, dict[int, Q]]:
+    """The block of the values, in columns first, first + 1, ..."""
+    block: dict[tuple, dict[int, Q]] = {}
+    for j, v in enumerate(values, first):
+        for exp, g, k, c in v.flat():
+            block.setdefault((exp, g, k), {})[j] = c
+    return block
 
 
 def _solve_on(points: Iterable, row: Callable[..., tuple], ncols: int
               ) -> tuple[list[Q] | None, int]:
-    """Exact c with sum_j c_j columns[j] = target at every point, for
-    (columns, target) = row(point), compared term by term; a value of None
-    is zero.  A point where row meets a WindowEscape is left out, and the
-    second result counts those points.  The rows are the (point, term)
-    pairs in the order first met, columns before the target and each
-    value's terms in sorted order, so the system depends on the values
-    alone, not on how they were computed; it goes to solve_exact as a
-    dense matrix."""
-    table, escaped = [], 0
+    """Exact c with sum_j c_j z_j = target at every point, term by term,
+    where row(point) lists blocks that add up to the z_j's values there and
+    the target's in column ncols; the points where row meets a WindowEscape
+    are left out and counted.  Each (point, term) is a row, a point met
+    twice adding into its rows.  Sorted by first nonzero column, the point's
+    first place and the term, the system depends on the values alone, not
+    on how they were computed; it goes to solve_exact as a dense matrix."""
+    rows: dict[tuple, dict[int, Q]] = {}
+    first: dict = {}  # point -> its place among the points kept
+    escaped = 0
     for p in points:
         try:
-            table.append((p,) + row(p))
+            blocks = row(p)
         except WindowEscape:
             escaped += 1
-    rows: dict = {}
-    for j in range(ncols + 1):
-        for p, columns, target in table:
-            v = target if j == ncols else columns[j]
-            if v is None:
-                continue
-            for exp, g, k, c in sorted(v.flat()):
-                rows.setdefault((p, exp, g, k), [0] * (ncols + 1))[j] += c
-    return solve_exact([r[:ncols] for r in rows.values()],
-                       [r[ncols] for r in rows.values()]), escaped
+            continue
+        first.setdefault(p, len(first))
+        for term, r in itertools.chain.from_iterable(block.items() for block in blocks):
+            acc = rows.setdefault((p, term), {})
+            for j, c in r.items():
+                acc[j] = acc.get(j, 0) + c
+    A, b = [], []
+    for key in sorted(rows, key=lambda key: (min(rows[key]), first[key[0]], key[1])):
+        b.append(rows[key].pop(ncols, 0))
+        A.append([0] * ncols)
+        for j, c in rows[key].items():
+            A[-1][j] = c
+    return solve_exact(A, b), escaped
 
 
 def solve_ansatz(diff: Callable[[ConformalModule, Cochain], Cochain], V: ConformalModule,
-                 basis: Sequence[Cochain], target: Cochain,
+                 basis: CochainBasis, target: Cochain,
                  tuples: Iterable[tuple[GenIndex, ...]]) -> tuple[list[Q] | None, int]:
     """Exact c with sum_i c_i diff(V, basis_i) = target on the tuples, and
     the number of tuples left out because a column or the target escapes a
-    rule window there.  The columns on a tuple come from one evaluation of
-    diff (see _ansatz_columns)."""
+    rule window there; the columns come from _ansatz_columns."""
     W = _tagged_module(V)
-    return _solve_on(tuples, lambda t: (_ansatz_columns(diff, W, basis, t), target.value(t)),
-                     len(basis))
+    return _solve_on(tuples, lambda t: (_ansatz_columns(diff, W, basis, t),
+                                        _block([target.value(t)], len(basis))), len(basis))
 
 
 def degree0_basis(V: ConformalModule, bounds: AnsatzBounds, window: int = 3) -> list[ModElement]:
@@ -983,7 +1008,7 @@ def coboundary_solve(P: ConformalAlgebra, V: ConformalModule, graded: Graded,
         basis0 = degree0_basis(V, bounds)
         images0 = [d_ce_degree0(V, v) for v in basis0]
         sol, escaped = _solve_on(
-            tuples(1), lambda t: ([img.value(t) for img in images0], target.value(t)),
+            tuples(1), lambda t: [_block([img.value(t) for img in images0] + [target.value(t)])],
             len(basis0))
         if sol is None:
             return None, escaped
@@ -994,22 +1019,18 @@ def coboundary_solve(P: ConformalAlgebra, V: ConformalModule, graded: Graded,
     reach = {key: sorted(d_total(P, V, {key: basis[0]})) for key, basis in bases.items()}
     target_keys = sorted(set(graded).union(*reach.values()))
     W = _tagged_module(V)
-
-    def columns(tk, t):
-        out = []
-        for key, basis in bases.items():
-            if tk in reach[key]:
-                out += _ansatz_columns(lambda U, g, key=key: d_total(P, U, {key: g})[tk],
-                                       W, basis, t)
-            else:
-                out += [None] * len(basis)
-        return out
+    candidates = [(key, coch) for key, basis in bases.items() for coch in basis]
+    firsts = dict(zip(bases, itertools.accumulate(map(len, bases.values()), initial=0)))
 
     def row(point):
         tk, t = target_keys[point[0]], point[1]
-        return columns(tk, t), graded[tk].value(t) if tk in graded else None
+        blocks = [_block([graded[tk].value(t)] if tk in graded else [], len(candidates))]
+        for key, basis in bases.items():
+            if tk in reach[key]:
+                diff = lambda U, g, key=key: d_total(P, U, {key: g})[tk]
+                blocks.append(_ansatz_columns(diff, W, basis, t, firsts[key]))
+        return blocks
 
-    candidates = [(key, coch) for key, basis in bases.items() for coch in basis]
     sol, escaped = _solve_on(
         [(ci, t) for ci, tk in enumerate(target_keys) for t in tuples(sum(tk))], row,
         len(candidates))

@@ -263,16 +263,16 @@ def extend_deformation(ds: DeformationSeries, bounds: AnsatzBounds,
 def solve_extension(ds: DeformationSeries, bounds: AnsatzBounds,
                     window: int = 3) -> tuple[DeformationSeries | None, int]:
     """extend_deformation's result and the number of window triples left
-    out of the solve because d_H of some ansatz element or theta_n escapes
-    a rule window there."""
+    out because d_H of an ansatz element or theta_n escapes a rule window
+    there; with every triple left out there is no extension."""
     if bounds is None:
         raise UnboundedAnsatz("extension solving needs ansatz bounds")
     theta = obstruction(ds)
     V = regular_bimodule(ds.alg)
     basis = cochain_basis(0, 2, ds.alg.families, bounds)
-    tuples = itertools.product(ds.alg.generators(window), repeat=3)
+    tuples = list(itertools.product(ds.alg.generators(window), repeat=3))
     sol, escaped = solve_ansatz(lambda W, z: d_h(ds.alg, W, z), V, basis, theta, tuples)
-    if sol is None:
+    if sol is None or escaped == len(tuples):
         return None, escaped
     mu_next_cochain = None
     for c, z in zip(sol, basis):

@@ -1,8 +1,11 @@
-"""Exact linear algebra over Q: sparse Gaussian elimination for the ansatz solvers."""
+"""Exact linear algebra over Q: fraction-free sparse elimination for the ansatz solvers."""
 
 from __future__ import annotations
 
-from .symcore import Q
+from itertools import compress
+from math import gcd, lcm
+
+from .symcore import Q, qify
 
 
 def solve_exact(rows: list[list[Q]], rhs: list[Q]) -> list[Q] | None:
@@ -11,52 +14,55 @@ def solve_exact(rows: list[list[Q]], rhs: list[Q]) -> list[Q] | None:
 
     The free variables are the non-pivot columns of an echelon form of A,
     which the row space of A fixes, so the solution does not depend on the
-    order of the rows.  The ansatz systems are sparse with many repeated
-    rows, so elimination runs on sparse rows: each distinct row of [A | b]
-    is reduced against the pivot rows found so far (leading columns in
-    increasing order) and kept, scaled to a leading 1, when anything is
-    left of it; back substitution then runs from the last pivot column down.
-    """
+    order of the rows.  Elimination is fraction-free (Bareiss) on sparse
+    rows: each distinct row of [A | b], cleared of denominators, is reduced
+    against the pivot rows so far, leading columns in increasing order, by
+    r <- a r - f p with its content divided out, and kept if not zero.  Back
+    substitution divides once per pivot, and x is checked exactly on every
+    distinct row (ArithmeticError if one fails)."""
     if not rows:
         return []
     ncols = len(rows[0])
-    pivots: dict[int, dict[int, Q]] = {}  # leading column -> row, rhs at key ncols
-    seen = set()
+    distinct: dict[tuple, dict[int, int]] = {}  # row -> its primitive integer form
     for row, b in zip(rows, rhs):
-        r = {c: v for c, v in enumerate(row) if v}
-        if b:
-            r[ncols] = b
-        key = tuple(r.items())
-        if key in seen:
-            continue
-        seen.add(key)
-        c = -1
-        while True:
-            hits = [k for k in r if c < k < ncols and k in pivots]
-            if not hits:
-                break
+        key = (tuple(compress(range(ncols), row)), tuple(filter(None, row)), b)
+        if key not in distinct:
+            den = lcm(b.denominator, *(v.denominator for v in key[1]))
+            distinct[key] = _primitive({k: v.numerator * (den // v.denominator) for k, v
+                                        in zip(key[0] + (ncols,), key[1] + (b,)) if v})
+    pivots: dict[int, dict[int, int]] = {}  # leading column -> row, rhs at key ncols
+    for r in distinct.values():
+        # a step clears column c and adds only columns after it
+        while hits := [k for k in r if k in pivots]:
             c = min(hits)
-            f = r[c]
-            for k, v in pivots[c].items():
-                nv = r.get(k, 0) - f * v
-                if nv:
-                    r[k] = nv
-                else:
-                    del r[k]
+            p = pivots[c]
+            g = gcd(p[c], r[c])
+            a, f = p[c] // g, r[c] // g
+            r = {k: a * r.get(k, 0) - f * p.get(k, 0) for k in r.keys() | p.keys()}
+            r = _primitive({k: v for k, v in r.items() if v})
         lead = min((k for k in r if k < ncols), default=None)
         if lead is None:
             if r:
                 return None
             continue
-        inv = Q(1) / r[lead]
-        pivots[lead] = {k: v * inv for k, v in r.items()}
-    x = [Q(0)] * ncols
-    for c in sorted(pivots, reverse=True):
-        s = Q(0)
-        for k, v in pivots[c].items():
-            if k == ncols:
-                s += v
-            elif k > c:
-                s -= v * x[k]
-        x[c] = s
+        pivots[lead] = r
+    x = _back_substitute(pivots, ncols)
+    den = lcm(*(v.denominator for v in x))
+    X = [v.numerator * (den // v.denominator) for v in x] + [-den]
+    if any(sum(v * X[k] for k, v in r.items()) for r in distinct.values()):
+        raise ArithmeticError("solve_exact: x does not satisfy the system")
     return x
+
+
+def _primitive(r: dict[int, int]) -> dict[int, int]:
+    """The integer row r with its content divided out."""
+    g = gcd(*r.values())
+    return r if g <= 1 else {k: v // g for k, v in r.items()}
+
+
+def _back_substitute(pivots: dict[int, dict[int, int]], ncols: int) -> list[Q]:
+    """x with 0 at the non-pivot columns and p . (x, -1) = 0 for each pivot row p."""
+    x: list[Q] = [0] * ncols + [-1]
+    for c in sorted(pivots, reverse=True):
+        x[c] = qify(Q(-sum(v * x[k] for k, v in pivots[c].items() if k > c), pivots[c][c]))
+    return x[:ncols]

@@ -452,7 +452,7 @@ def monomial_values(m, n, fam, bounds, s):
 
 class TestBasisValues:
     """The basis elements' values at the window-3 sites, against their
-    monomials."""
+    monomials, and the basis's table at each site against those values."""
 
     @pytest.mark.parametrize("key, bounds, hi", [
         ((0, 2), AnsatzBounds(1, 1), None),
@@ -467,14 +467,27 @@ class TestBasisValues:
         for s in itertools.product(fam.members(3), repeat=sum(key)):
             want = monomial_values(*key, fam, bounds, s)
             assert [z.value(s) for z in basis] == want
+            # one row per nonzero term of an element's value
+            assert sorted(basis.site(s)) == sorted(
+                (j, exp, g, k, c) for j, v in enumerate(want) for exp, g, k, c in v.flat())
             zeros += sum(v.is_zero() for v in want)
         assert zeros > 0
+
+
+def image_rows(values):
+    """{(exponent, generator, D-power): {column: coefficient}} of the
+    values, one column each."""
+    rows = {}
+    for j, v in enumerate(values):
+        for exp, g, k, c in v.flat():
+            rows.setdefault((exp, g, k), {})[j] = c
+    return rows
 
 
 class TestAnsatzColumns:
     """The ansatz columns, built by linearity from one differential
     evaluation of the generic ansatz element per tuple, equal the direct
-    images."""
+    images, term for term."""
 
     @pytest.mark.parametrize("window, doubled", [(1, False), (2, False), (2, True)])
     def test_d_h_columns_equal_direct_images(self, window, doubled):
@@ -484,8 +497,8 @@ class TestAnsatzColumns:
         images = [d_h(P, V, z) for z in basis]
         W = _tagged_module(V)
         for t in itertools.product(P.generators(window), repeat=3):
-            cols = _ansatz_columns(lambda U, z: d_h(P, U, z), W, basis, t)
-            assert cols == [img.value(t) for img in images]
+            block = _ansatz_columns(lambda U, z: d_h(P, U, z), W, basis, t)
+            assert block == image_rows([img.value(t) for img in images])
 
     @pytest.mark.parametrize("key", [(2, 0), (0, 2)])
     def test_d_total_columns_equal_direct_images(self, setup, key):
@@ -496,8 +509,8 @@ class TestAnsatzColumns:
         W = _tagged_module(V)
         for tk in images[0]:
             for t in tuples_for(3, 3, seed=53):
-                cols = _ansatz_columns(lambda U, z: d_total(P, U, {key: z})[tk], W, basis, t)
-                assert cols == [img[tk].value(t) for img in images]
+                block = _ansatz_columns(lambda U, z: d_total(P, U, {key: z})[tk], W, basis, t)
+                assert block == image_rows([img[tk].value(t) for img in images])
 
     def test_system_is_built_from_the_images(self, monkeypatch):
         # the system solve_exact receives is the one the direct images give:

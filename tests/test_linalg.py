@@ -1,6 +1,9 @@
 import random
 from fractions import Fraction as Q
 
+import pytest
+
+from conformal_kernel import linalg
 from conformal_kernel.linalg import solve_exact
 
 
@@ -50,6 +53,20 @@ class TestSolveExact:
             rows.append(rows[0][:])
             rhs.append(rhs[0] + 1)
             assert solve_exact(rows, rhs) is None
+
+    def test_a_wrong_answer_raises(self, monkeypatch):
+        # solve_exact substitutes its answer into every distinct row before
+        # returning it: a back substitution that is off by one in one
+        # coordinate is caught
+        rows = [[Q(1), Q(1), Q(0)], [Q(0), Q(1), Q(-1)]]
+        rhs = [Q(2), Q(1, 2)]
+        assert solve_exact(rows, rhs) == [Q(3, 2), Q(1, 2), Q(0)]
+        back = linalg._back_substitute
+        monkeypatch.setattr(linalg, "_back_substitute",
+                            lambda pivots, ncols: [v + (j == 1) for j, v in
+                                                   enumerate(back(pivots, ncols))])
+        with pytest.raises(ArithmeticError, match="does not satisfy"):
+            solve_exact(rows, rhs)
 
 
 def fraction_elimination(rows, rhs):

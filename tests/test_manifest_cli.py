@@ -230,6 +230,22 @@ class TestInconclusiveExit:
         assert code == 2
 
 
+    def test_deform_extension_with_every_tuple_escaped(self, tmp_path, capsys):
+        # on ex2_17 cut to the one generator x[1], the window-1 triple
+        # escapes: no equation is left, and no extension may be claimed
+        with open(os.path.join(DEMOS, "ex2_17.alg"), encoding="utf-8") as fh:
+            text = fh.read()
+        path = tmp_path / "ex2_17_x1.alg"
+        path.write_text(text.replace("family x arity 1 min 0\n",
+                                     "family x arity 1 min 1 max 1\n"))
+        code = main(["deform", str(path), "--window", "1"])
+        line, = [ln for ln in capsys.readouterr().out.splitlines()
+                 if "name=obstruction_and_extension" in ln]
+        assert "status=inconclusive" in line
+        assert 'note="extension not determined: every tuple escaped the rule window"' in line
+        assert "recovered" not in line
+        assert code == 2
+
 def check_lines(text):
     return [line for line in text.splitlines() if line.startswith("[check]")]
 
