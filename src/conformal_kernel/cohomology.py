@@ -939,7 +939,7 @@ def _block(values: Sequence[LambdaPoly], first: int = 0) -> dict[tuple, dict[int
     return block
 
 
-def _solve_on(points: Iterable, row: Callable[..., tuple], ncols: int
+def _solve_on(points: Iterable, row: Callable[..., list], ncols: int
               ) -> tuple[list[Q] | None, int]:
     """Exact c with sum_j c_j z_j = target at every point, term by term,
     where row(point) lists blocks that add up to the z_j's values there and
@@ -978,8 +978,8 @@ def solve_ansatz(diff: Callable[[ConformalModule, Cochain], Cochain], V: Conform
     the number of tuples left out because a column or the target escapes a
     rule window there; the columns come from _ansatz_columns."""
     W = _tagged_module(V)
-    return _solve_on(tuples, lambda t: (_ansatz_columns(diff, W, basis, t),
-                                        _block([target.value(t)], len(basis))), len(basis))
+    return _solve_on(tuples, lambda t: [_ansatz_columns(diff, W, basis, t),
+                                        _block([target.value(t)], len(basis))], len(basis))
 
 
 def degree0_basis(V: ConformalModule, bounds: AnsatzBounds, window: int = 3) -> list[ModElement]:

@@ -364,7 +364,6 @@ class TestCocycleAndSolve:
         for key, coch in image.items():
             assert cochain_zero_on(coch, tuples_for(coch.slots, 4, seed=37))
 
-
     def test_answers_are_pinned(self, setup, monkeypatch):
         # the systems coboundary_solve hands to solve_exact, and its answers,
         # in the tests above: degree 2 and degree 1 targets

@@ -229,7 +229,6 @@ class TestInconclusiveExit:
         assert f'note="extension solve: {escaped} tuples escaped the rule window"' in line
         assert code == 2
 
-
     def test_deform_extension_with_every_tuple_escaped(self, tmp_path, capsys):
         # on ex2_17 cut to the one generator x[1], the window-1 triple
         # escapes: no equation is left, and no extension may be claimed
@@ -245,6 +244,7 @@ class TestInconclusiveExit:
         assert 'note="extension not determined: every tuple escaped the rule window"' in line
         assert "recovered" not in line
         assert code == 2
+
 
 def check_lines(text):
     return [line for line in text.splitlines() if line.startswith("[check]")]
