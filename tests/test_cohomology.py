@@ -142,8 +142,9 @@ class TestDifferentialBasics:
         ("d_ce", 2, 0, 4), ("d_ce", 2, 1, 5), ("d_h", 0, 2, 4)])
     def test_differentials_expand_into_one_accumulator(self, monkeypatch, twice, m, n, arity):
         # every cochain evaluation inside a differential, and the
-        # symmetrized values it reads, expand straight into the caller's
-        # accumulator: no substitute, and no built value added back
+        # symmetrized values it reads, expand into accumulators: a grouped
+        # evaluation fills a temporary and multiplies it into the caller's,
+        # with no substitute and no built value added back
         import sys
 
         alg = parse_file(os.path.join(DEMOS, "ex2_17.alg")).algebra()
@@ -165,6 +166,34 @@ class TestDifferentialBasics:
         monkeypatch.setattr(Accumulator, "add", counting("add", Accumulator.add))
         assert image.value(t).is_zero()
         assert calls == {"substitute": 0, "add": 0}
+
+    @pytest.mark.parametrize("seed, want", [(0, ("9b03f29462ec65ff", 1694)),
+                                            (1, ("a7f8b8190ce05b1b", 1889)),
+                                            (2, ("07f500f8e63cba77", 1431)),
+                                            (3, ("833b42f2ad818c4d", 1943))])
+    def test_differential_values_are_pinned(self, seed, want):
+        # d_ce, d_h and the module action (once, and on an action image,
+        # whose values carry an extra variable) of seeded cochains on
+        # ex2_17, one tuple per bidegree up to 4: a digest of the canonical
+        # terms of all 26 values, and their term count
+        import hashlib
+
+        P = parse_file(os.path.join(DEMOS, "ex2_17.alg")).algebra()
+        V = adjoint_module(P)
+        values = []
+        for m, n in cohomology.fgv_bidegrees(4):
+            gamma = random_cochain(m, n, seed=seed * 10 + 3 * m + n)
+            t, = random_gen_tuples(m + n + 1, 1, seed + m + n)
+            values += [d_ce(P, V, gamma).value(t), d_h(P, V, gamma).value(t)]
+            if m == 0:
+                act = hochschild_module_action(P, V, ModElement.of(xg(seed)), gamma, "L")
+                u, = random_gen_tuples(n, 1, seed + 7)
+                values += [act.value(u),
+                           hochschild_module_action(P, V, ModElement.of(xg(1)), act, "M").value(u)]
+        text = repr([(v.context, sorted((e, repr(g), k, str(c)) for e, g, k, c in v.flat()))
+                     for v in values])
+        got = hashlib.sha256(text.encode()).hexdigest()[:16], sum(len(v.flat()) for v in values)
+        assert (len(values), got) == (26, want)
 
 
 class TestComplexIdentities:
@@ -624,13 +653,13 @@ class TestSlotEvaluationOracle:
     @staticmethod
     def sym(sympy, p):
         D = sympy.Symbol("D")
-        expr = sympy.Integer(0)
+        terms = []
         for exp, g, k, c in p.flat():
             mono = sympy.Rational(Q(c).numerator, Q(c).denominator) * D ** k
             for v, e in zip(p.context, exp):
                 mono *= sympy.Symbol(v) ** e
-            expr += mono * sympy.Symbol(repr(g))
-        return sympy.expand(expr)
+            terms.append(mono * sympy.Symbol(repr(g)))
+        return sympy.expand(sympy.Add(*terms))  # one Add: += re-flattens every time
 
     def small_item(self, rng, ctx):
         """One generator with one or two D-powers up to 2, exponents up to 1."""
@@ -662,9 +691,11 @@ class TestSlotEvaluationOracle:
         return sympy.expand(out)
 
     def sym_eval(self, sympy, gamma, args, forms):
-        """gamma on argument expressions with non-final slot p at forms[p]."""
+        """gamma on argument expressions with non-final slot p at forms[p];
+        gamma's extra variables stand for themselves and join the final
+        slot's shift."""
         D = sympy.Symbol("D")
-        shift = D + sum(forms, sympy.Integer(0))
+        shift = D + sum(forms, sympy.Integer(0)) + sum(sympy.symbols(gamma.extra), sympy.Integer(0))
         slot_syms = [sympy.Symbol(c) for c in canon_vars(gamma.slots - 1)]
         parts = []
         for a in args:
@@ -728,6 +759,45 @@ class TestSlotEvaluationOracle:
             assert sympy.expand(self.sym(sympy, got) - want) == 0, layout
             nonzero += want != 0
         assert nonzero >= 3
+
+    @pytest.mark.parametrize("m, n, extra", [(0, 2, ()), (2, 1, ()), (0, 2, ("e",)), (2, 0, ("e",))])
+    def test_eval_cochain(self, sympy, m, n, extra):
+        # each argument holds two generators with two D-powers each, the
+        # final one included, so every generator tuple collects several
+        # combinations of argument terms; the slot forms carry D-parts
+        s = m + n
+        rng = random.Random(31 * m + n + len(extra))
+        base = random_cochain(m, n, seed=89 + 7 * m + n, d_max=1, l_max=1)
+        gamma = base
+        if extra:
+            other = random_cochain(m, n, seed=97 + 7 * m + n, d_max=1, l_max=1)
+            vctx = base.context + extra
+            gamma = Cochain(m, n, lambda g: base.value(g).align(vctx)
+                            + other.value(g).align(vctx).mul_var(extra[0]), extra)
+        out = tuple(f"p{i}" for i in range(s - 1))
+        ctx = ("a",) + out + extra
+        D, a = sympy.symbols("D a")
+        nonzero = 0
+        for _trial in range(2):
+            items = []
+            for _slot in range(s):
+                data = {}
+                for g in rng.sample(self.ITEM_GENS, 2):
+                    for k in rng.sample(range(3), 2):
+                        exp = (rng.randint(0, 1),) + (0,) * (len(ctx) - 1)
+                        data.setdefault(exp, {})[g, k] = Q(rng.randint(-3, 3) or 1, rng.randint(1, 2))
+                items.append(LambdaPoly(ctx, data))
+            forms, sym_forms = [], []
+            for v in out:
+                ca, d = rng.randint(0, 1), rng.choice((0, -1))
+                forms.append(({v: 1, "a": ca} if ca else {v: 1}, d))
+                sym_forms.append(sympy.Symbol(v) + ca * a + d * D)
+            got = cohomology.eval_cochain(gamma, items, forms, ctx)
+            assert got.context == ctx
+            want = self.sym_eval(sympy, gamma, [self.sym(sympy, it) for it in items], sym_forms)
+            assert sympy.expand(self.sym(sympy, got) - want) == 0
+            nonzero += want != 0
+        assert nonzero == 2
 
     def test_pair_in_slot_into_scales_and_keeps_prior_contents(self):
         # scale 3 into an accumulator that already holds a value: prior
