@@ -29,6 +29,7 @@ import os
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 from math import prod
+from operator import add
 from typing import Callable, Iterable, Sequence
 
 from .algebra import (
@@ -55,7 +56,11 @@ from .symcore import (
     LambdaPoly,
     ModElement,
     Q,
+    _FORM_KEYS,
+    _FORM_PRODUCTS,
     _expand,
+    _form_product,
+    _merge,
     _positions,
     multi_shifted_action,
     substitute,
@@ -163,7 +168,9 @@ def eval_cochain(coch: Cochain, args: Sequence[LambdaPoly],
     cochain's extra variables (each stands for itself).  A D-power on
     non-final slot p contributes (-forms[p])^k; one on the final slot acts
     as (D + sum of the forms + sum of the extras)^k on the substituted
-    value, so at a dagger form -(sum of the others) - D it collapses.
+    value, so at a dagger form -(sum of the others) - D it collapses.  On
+    plain generators at its own slot variables this is the value renamed,
+    which is how the differentials read it (``_renamed``).
     """
     return _eval_into(Accumulator(ctx), coch, args, forms).build()
 
@@ -171,8 +178,10 @@ def eval_cochain(coch: Cochain, args: Sequence[LambdaPoly],
 def _eval_into(acc: Accumulator, coch: Cochain, args: Sequence[LambdaPoly],
                forms: Sequence[tuple[dict[str, int], int]], scale=1) -> Accumulator:
     """acc += scale * eval_cochain(coch, args, forms, acc.context); returns
-    acc.  Each combination of argument terms expands the cochain's value
-    straight into acc, at its scalar times its monomial."""
+    acc.  The combinations of argument terms are grouped by generator tuple.
+    A group's factor, the sum over its combinations of scalar * monomial *
+    prod f_p^k_p (the final slot's form included), multiplies the cochain's
+    value on the tuple, expanded once at the slot forms into a temporary."""
     s = coch.slots
     if len(args) != s or len(forms) != s - 1:
         raise ValueError("arity mismatch in eval_cochain")
@@ -181,25 +190,44 @@ def _eval_into(acc: Accumulator, coch: Cochain, args: Sequence[LambdaPoly],
     fs = tuple(forms) + tuple(({e: 1}, 0) for e in coch.extra)
     fs += (({u: t for u in ctx if (t := sum(c.get(u, 0) for c, _d in fs))},
             1 + sum(d for _c, d in fs)),)
+    # the key symcore._expand gives these forms: both read the same products
+    key = (ctx,) + tuple((tuple(c.items()), d) for c, d in fs)
+    key = _FORM_KEYS.setdefault(key, len(_FORM_KEYS))
     pad = (0,) * len(coch.extra)
     positions = [_positions(a.context, ctx) for a in args]
+    # generator tuple -> its factor, {(exponent, D-power): scalar}
+    factors: dict[tuple[GenIndex, ...], dict[tuple, Q]] = {}
     for combo in itertools.product(*[a.flat() for a in args]):
         ks = tuple(t[2] for t in combo)
-        # D^k on non-final slot p is (-f_p)^k: k more powers of f_p
+        # D^k on non-final slot p is (-f_p)^k
         scalar = -scale if sum(ks[:-1]) % 2 else scale
         mono = [0] * len(ctx)
         for (exp, _g, _k, c), pos in zip(combo, positions):
             scalar *= c
             for p, e in zip(pos, exp):
                 mono[p] += e
-        _expand(acc, coch.value(tuple(t[1] for t in combo)), fs, ks[:-1] + pad + ks[-1:],
-                scalar, tuple(mono) if any(mono) else None)
+        ks = ks[:-1] + pad + ks[-1:]
+        got = _FORM_PRODUCTS.get((key, ks))
+        if got is None:
+            got = _FORM_PRODUCTS[key, ks] = _form_product(ctx, fs, ks)
+        factor = factors.setdefault(tuple(t[1] for t in combo), {})
+        for c, inc, kd in got:
+            at = tuple(map(add, mono, inc)), kd
+            factor[at] = factor.get(at, 0) + scalar * c
+    zero, data = (0,) * len(fs), acc.data
+    for gens, factor in factors.items():
+        value = _expand(Accumulator(ctx), coch.value(gens), fs, zero).data.items()
+        for (inc, kd), c in factor.items():
+            if c:
+                for e, b in value:
+                    _merge(data, tuple(map(add, inc, e)), b, c, kd)
     return acc
 
 
-def _plain(names: Sequence[str]) -> list[tuple[dict[str, int], int]]:
-    """Each variable as the form of itself."""
-    return [({v: 1}, 0) for v in names]
+def _renamed(gamma: Cochain, gens: tuple[GenIndex, ...], names: Sequence[str]) -> LambdaPoly:
+    """gamma on plain generators with its slot variables read as `names`,
+    its extras as themselves: its value there, renamed."""
+    return gamma.value(gens).rename_context(tuple(names) + gamma.extra)
 
 
 def _gen_args(gens: Sequence[GenIndex], ctx: tuple[str, ...] = ()) -> list[LambdaPoly]:
@@ -258,7 +286,7 @@ def d_h(P: ConformalAlgebra, V: ConformalModule, gamma: Cochain) -> Cochain:
         items, ivars = _gen_args(gens), out_vars + (None,)
 
         # a1 o_(mu1) gamma(x's; a2..a_{n+1})
-        inner = eval_cochain(gamma, _gen_args(xs + asr[1:]), _plain(xvars + avars[1:]), out_vars)
+        inner = _renamed(gamma, xs + asr[1:], xvars + avars[1:])
         _pair_into(out, V.left, const_lp(ModElement.of(asr[0])), inner, ({avars[0]: 1}, 0))
 
         # merged products a_i a_{i+1} (items m+i-1, m+i), sign (-1)^i
@@ -268,7 +296,7 @@ def d_h(P: ConformalAlgebra, V: ConformalModule, gamma: Cochain) -> Cochain:
             _pair_in_slot_into(out, gamma, P.product, items, ivars, layout, (-1) ** i)
 
         # gamma(x's; a1..a_n) o_(flat) a_{n+1}, sign (-1)^{n+1}
-        w = eval_cochain(gamma, _gen_args(xs + asr[:n]), _plain(xvars + avars[:n - 1]), out_vars)
+        w = _renamed(gamma, xs + asr[:n], xvars + avars[:n - 1])
         _pair_into(out, V.right, w, const_lp(ModElement.of(asr[n])),
                    ({v: 1 for v in out_vars}, 0), (-1) ** (n + 1))
         return out.build()
@@ -293,7 +321,7 @@ def _d_ce_lie(P: ConformalAlgebra, V: ConformalModule, gamma: Cochain) -> Cochai
         for i in range(1, k + 1):
             rest = gens[:i - 1] + gens[i:k] + (gens[k],)
             svars = [out_vars[j] for j in range(k) if j != i - 1][: k - 1]
-            inner = eval_cochain(gamma, _gen_args(rest), _plain(svars), out_vars)
+            inner = _renamed(gamma, rest, svars)
             _pair_into(out, V.lie, const_lp(ModElement.of(gens[i - 1])), inner,
                        ({out_vars[i - 1]: 1}, 0), (-1) ** (i + 1))
 
@@ -305,7 +333,7 @@ def _d_ce_lie(P: ConformalAlgebra, V: ConformalModule, gamma: Cochain) -> Cochai
                                    (-1) ** (k + i + j + 1))
 
         # a_{k+1} at dagger acting on gamma(a_1..a_k)
-        inner = eval_cochain(gamma, _gen_args(gens[:k]), _plain(out_vars[:k - 1]), out_vars)
+        inner = _renamed(gamma, gens[:k], out_vars[:k - 1])
         _pair_into(out, V.lie, const_lp(ModElement.of(gens[k])), inner,
                    ({u: -1 for u in out_vars}, -1), (-1) ** k)
 
@@ -336,7 +364,7 @@ def _d_ce_mixed(P: ConformalAlgebra, V: ConformalModule, gamma: Cochain) -> Coch
             rest_vars = [xvars[t] for t in range(m + 1) if t != i - 1] + list(avars)
 
             # x_i acting on the value with x_i omitted
-            inner = eval_cochain(gamma, _gen_args(rest + asr), _plain(rest_vars), out_vars)
+            inner = _renamed(gamma, rest + asr, rest_vars)
             _pair_into(out, V.lie, const_lp(ModElement.of(xs[i - 1])), inner,
                        ({xvars[i - 1]: 1}, 0), sign_i)
 
@@ -435,9 +463,8 @@ def hochschild_action_value(P: ConformalAlgebra, V: ConformalModule, gamma: Coch
     out_extra = tuple(dict.fromkeys(gamma.extra + c0)) + (var,)
     full = base + out_extra
 
-    inner = eval_cochain(gamma, _gen_args(gens, c0), _plain(base), full)
     acc = Accumulator(full)
-    _pair_into(acc, V.lie, x_lp, inner, ({var: 1}, 0))
+    _pair_into(acc, V.lie, x_lp, gamma.value(gens), ({var: 1}, 0))  # in base + gamma.extra
 
     # x paired into each slot: x is item 0, a_i item i
     items, ivars = [x_lp] + _gen_args(gens, c0), (var,) + base + (None,)

@@ -13,10 +13,12 @@ with D-powers acting on the module coefficient from the left.  ``substitute``
 is the one way to put forms in for variables: it multiplies the cached
 powers of the forms (``form_power``), one cached product per exponent
 vector.  Pairing at a linear form (``algebra.pair_at``) expands the same
-powers straight into an ``Accumulator``, and so does cochain evaluation
-(``cohomology._eval_into``), into the accumulator its caller holds.  A
-merge into an accumulator carries the D-offset of the product term, so no
-D-shifted copy of a bucket is built on the way.
+powers straight into an ``Accumulator``.  Cochain evaluation
+(``cohomology._eval_into``) expands a value once per generator tuple, with
+no shift, into a temporary, and multiplies that into its caller's
+accumulator by the cached products of the powers its argument terms add.
+A merge into an accumulator carries the D-offset of the product term, so
+no D-shifted copy of a bucket is built on the way.
 """
 
 from __future__ import annotations
