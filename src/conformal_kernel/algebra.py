@@ -400,16 +400,17 @@ def _run_tuple_checks(names: Sequence[str], tuples: Iterable[tuple],
         for wit, r in zip(witnesses, rs):
             if not r.is_zero() and len(wit) < MAX_WITNESSES:
                 wit.append((t, r))
-    return [CheckReport(name, sweep_status(wit, escaped), wit, checked, escaped)
+    return [CheckReport(name, sweep_status(wit, checked, escaped), wit, checked, escaped)
             for name, wit in zip(names, witnesses)]
 
 
-def sweep_status(witnesses, escaped: int) -> str:
+def sweep_status(witnesses, checked: int, escaped: int) -> str:
     """A witness fails the sweep; otherwise any escaped tuple leaves it
-    inconclusive."""
+    inconclusive, and so does a window with no tuple: a pass has checked
+    one."""
     if witnesses:
         return FAIL
-    return INCONCLUSIVE if escaped else PASS
+    return INCONCLUSIVE if escaped or not checked else PASS
 
 
 # ---------------------------------------------------------------------------

@@ -106,14 +106,17 @@ def run(command: str, man, args) -> list:
             rep = obstruction_is_cocycle(trunc, max(2, window - 1))
             bounds = AnsatzBounds(args.ansatz_ddeg, args.ansatz_ldeg)
             ext, escaped = solve_extension(trunc, bounds, window)
-            if escaped == len(trunc.alg.generators(window)) ** 3:
+            triples = len(trunc.alg.generators(window)) ** 3
+            if not triples:
+                rep.notes.append("extension not determined: no tuple in the window")
+            elif escaped == triples:
                 rep.notes.append("extension not determined: every tuple escaped the rule window")
             else:
                 rep.notes.append("extension recovered within ansatz bounds"
                                  if ext is not None else "no extension within ansatz bounds")
             if escaped:
                 rep.notes.append(f"extension solve: {escaped} tuples escaped the rule window")
-                rep.status = sweep_status(rep.witnesses, escaped)
+                rep.status = sweep_status(rep.witnesses, rep.checked, escaped)
             rep.name = "obstruction_and_extension"
             reports.append(rep)
         return reports

@@ -23,13 +23,13 @@ from .algebra import (
     OUTER,
     CheckReport,
     ConformalAlgebra,
-    PASS,
     PreconditionFailed,
     StructureRule,
     WindowEscape,
     poisson_laws,
     run_tuple_check,
     stack_rows,
+    sweep_status,
 )
 from .symcore import GenIndex, LambdaPoly, ModElement, Q, gen_binom, qify
 
@@ -287,7 +287,7 @@ def annihilation_relations_check(alg: ConformalAlgebra, window: ModeWindow,
                            if c})
 
     samples = []
-    for _ in range(20):
+    for _ in range(20 if gens else 0):  # no generator, no sample: inconclusive
         a = ModElement.zero()
         b = ModElement.zero()
         for _ in range(2):
@@ -364,4 +364,5 @@ def closed_form_comparison(alg: ConformalAlgebra, window: ModeWindow) -> CheckRe
         notes.append("bracket constants match both closed forms (degenerate window)")
     else:
         notes.append("bracket constants match neither closed form")
-    return CheckReport("closed_form_comparison", PASS, checked=checked, notes=notes)
+    return CheckReport("closed_form_comparison", sweep_status([], checked, 0), checked=checked,
+                       notes=notes)

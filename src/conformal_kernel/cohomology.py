@@ -738,9 +738,9 @@ def check_complex_identities(P: ConformalAlgebra, V: ConformalModule,
     for name, us in sections:
         parts = [next(results) for _ in us]
         witnesses = [w for r in parts for w in r.witnesses][:MAX_WITNESSES]
-        escaped = sum(r.escaped for r in parts)
-        reports.append(CheckReport(name, sweep_status(witnesses, escaped), witnesses,
-                                   sum(r.checked for r in parts), escaped))
+        checked, escaped = sum(r.checked for r in parts), sum(r.escaped for r in parts)
+        reports.append(CheckReport(name, sweep_status(witnesses, checked, escaped), witnesses,
+                                   checked, escaped))
     return reports
 
 

@@ -27,7 +27,9 @@ from conformal_kernel.algebra import (
     order_part,
     pair,
     pair_at,
+    run_tuple_check,
     suite_passes,
+    sweep_status,
 )
 from conformal_kernel.constructors import OrdinaryAlgebra
 from conformal_kernel.symcore import DPoly, GenIndex, LambdaPoly, ModElement, gen
@@ -292,6 +294,15 @@ class TestWindowEscape:
         assert type(back) is WindowEscape
         assert back.what == e.what
         assert str(back) == str(e) == "outside rule window: ('product', x[3], x[1])"
+
+    def test_nothing_checked_is_never_a_pass(self):
+        # a window with no tuple, or one whose every tuple escapes, is
+        # inconclusive; a witness still fails
+        assert sweep_status([], 0, 0) == sweep_status([], 0, 2) == "inconclusive"
+        assert sweep_status([], 1, 0) == "pass"
+        assert sweep_status([((xg(0),), LambdaPoly.of((), ModElement.of(xg(0))))], 0, 0) == "fail"
+        report = run_tuple_check("empty", [], lambda *t: LambdaPoly.zero())
+        assert (report.status, report.checked, report.escaped) == ("inconclusive", 0, 0)
 
 
 class TestOrderPart:

@@ -44,9 +44,12 @@ class TestParser:
         assert e == want
 
     def test_empty_generators_zero_algebra(self):
+        # no family: the zero algebra, with no tuple to sweep, so no law
+        # fails and none passes on nothing checked
         man = parse("name empty\nkind poisson\n")
         alg = man.algebra()
-        assert suite_passes(check_poisson(alg, window=2))
+        assert alg.generators(2) == []
+        assert {r.status for r in check_poisson(alg, window=2)} == {"inconclusive"}
 
     def test_undeclared_family_error(self):
         text = EX + "bracket y[m] x[n] = x[m+n]\n"
@@ -243,6 +246,24 @@ class TestInconclusiveExit:
         assert "status=inconclusive" in line
         assert 'note="extension not determined: every tuple escaped the rule window"' in line
         assert "recovered" not in line
+        assert code == 2
+
+    @pytest.mark.parametrize("command", ["check", "deform", "coeff", "nijenhuis", "semiclassical"])
+    def test_empty_window_is_inconclusive(self, tmp_path, capsys, command):
+        # a family that starts at x[5] leaves no tuple in window 1: every
+        # command exits 2, no report passes on nothing but a declared skip,
+        # and nothing raises
+        with open(os.path.join(DEMOS, "ex2_17.alg"), encoding="utf-8") as fh:
+            text = fh.read()
+        path = tmp_path / "ex2_17_min5.alg"
+        path.write_text(text.replace("family x arity 1 min 0\n", "family x arity 1 min 5\n"))
+        code = main([command, str(path), "--window", "1", "--modes=-1..1"])
+        lines = check_lines(capsys.readouterr().out)
+        assert lines
+        assert [ln for ln in lines if "status=pass checked=0" in ln and "skipped:" not in ln] == []
+        if command == "deform":
+            assert any('note="extension not determined: no tuple in the window"' in ln
+                       for ln in lines)
         assert code == 2
 
 
