@@ -199,7 +199,7 @@ def _eval_into(acc: Accumulator, coch: Cochain, args: Sequence[LambdaPoly],
     factors: dict[tuple[GenIndex, ...], dict[tuple, Q]] = {}
     for combo in itertools.product(*[a.flat() for a in args]):
         ks = tuple(t[2] for t in combo)
-        # D^k on non-final slot p is (-f_p)^k
+        # D^k on non-final slot p is (-f_p)^k: k more powers of f_p
         scalar = -scale if sum(ks[:-1]) % 2 else scale
         mono = [0] * len(ctx)
         for (exp, _g, _k, c), pos in zip(combo, positions):
