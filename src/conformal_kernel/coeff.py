@@ -354,7 +354,9 @@ def closed_form_comparison(alg: ConformalAlgebra, window: ModeWindow) -> CheckRe
                     if got != want2:
                         match_km_ln = False
     notes = []
-    if match_lm_kn and not match_km_ln:
+    if not checked:
+        notes.append("no mode pair was compared")
+    elif match_lm_kn and not match_km_ln:
         notes.append("bracket constants match (l*m - k*n); "
                      "transposed variant (k*m - l*n) does NOT match; flagged discrepancy")
     elif match_km_ln and not match_lm_kn:

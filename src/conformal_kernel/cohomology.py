@@ -56,12 +56,10 @@ from .symcore import (
     LambdaPoly,
     ModElement,
     Q,
-    _FORM_KEYS,
-    _FORM_PRODUCTS,
     _expand,
-    _form_product,
     _merge,
     _positions,
+    form_products,
     multi_shifted_action,
     substitute,
 )
@@ -190,9 +188,7 @@ def _eval_into(acc: Accumulator, coch: Cochain, args: Sequence[LambdaPoly],
     fs = tuple(forms) + tuple(({e: 1}, 0) for e in coch.extra)
     fs += (({u: t for u in ctx if (t := sum(c.get(u, 0) for c, _d in fs))},
             1 + sum(d for _c, d in fs)),)
-    # the key symcore._expand gives these forms: both read the same products
-    key = (ctx,) + tuple((tuple(c.items()), d) for c, d in fs)
-    key = _FORM_KEYS.setdefault(key, len(_FORM_KEYS))
+    table = form_products(ctx, fs)  # the products symcore._expand reads
     pad = (0,) * len(coch.extra)
     positions = [_positions(a.context, ctx) for a in args]
     # generator tuple -> its factor, {(exponent, D-power): scalar}
@@ -206,12 +202,8 @@ def _eval_into(acc: Accumulator, coch: Cochain, args: Sequence[LambdaPoly],
             scalar *= c
             for p, e in zip(pos, exp):
                 mono[p] += e
-        ks = ks[:-1] + pad + ks[-1:]
-        got = _FORM_PRODUCTS.get((key, ks))
-        if got is None:
-            got = _FORM_PRODUCTS[key, ks] = _form_product(ctx, fs, ks)
         factor = factors.setdefault(tuple(t[1] for t in combo), {})
-        for c, inc, kd in got:
+        for c, inc, kd in table[ks[:-1] + pad + ks[-1:]]:
             at = tuple(map(add, mono, inc)), kd
             factor[at] = factor.get(at, 0) + scalar * c
     zero, data = (0,) * len(fs), acc.data

@@ -7,7 +7,7 @@ list of bilinear rules mu_0..mu_N (mu_0 the undeformed product), and every
 statement is the order-n part (``algebra.order_part``) of a Poisson law's term
 table read along the series.  Two independent code paths verify associativity
 of the truncated product: the convolution identity per order, and the ordinary
-associativity sweep on an auxiliary algebra whose generators carry the series
+associativity sweep of an auxiliary product whose generators carry the series
 index as an extra parameter.  That sweep lifts the base window's generators to
 every power 0..N and keeps the triples whose powers sum to at most N: every
 other triple has a zero residual in A[hbar]/hbar^{N+1} whatever the mu's are.
@@ -22,7 +22,6 @@ from .algebra import (
     CheckReport,
     ConformalAlgebra,
     FAIL,
-    GenFamily,
     KIND_ASSOCIATIVE,
     KIND_NC_POISSON,
     KIND_POISSON,
@@ -109,38 +108,30 @@ class DeformationSeries:
     def extend_with(self, rule: StructureRule) -> "DeformationSeries":
         return DeformationSeries(self.alg, self.higher + [rule])
 
-    def hbar_algebra(self) -> ConformalAlgebra:
-        """A[hbar]/hbar^{N+1} as an algebra whose generators carry the series
-        power as a trailing parameter; the independent associativity path.
 
-        Its families only name the lifted generators: one parameter range
-        cannot hold both the base family's and the powers 0..N.  The sweep
-        in check_n_deformation uses the base window's generators, each
-        lifted to every power 0..N."""
-        N = self.order
-        fams = [GenFamily(_HBAR + f.name, f.arity + 1, 0, f.hi) for f in self.alg.families]
+def _hbar_product(ds: DeformationSeries) -> StructureRule:
+    """The product of A[hbar]/hbar^{N+1}, on generators that carry the series
+    power as a trailing parameter; the independent associativity path."""
+    N = ds.order
 
-        def split(g: GenIndex):
-            return GenIndex(g.family[len(_HBAR):], g.params[:-1]), g.params[-1]
+    def split(g: GenIndex):
+        return GenIndex(g.family[len(_HBAR):], g.params[:-1]), g.params[-1]
 
-        def tag(me: ModElement, k: int) -> ModElement:
-            return me.relabel(lambda g: _hbar_gen(g, k))
+    def tag(me: ModElement, k: int) -> ModElement:
+        return me.relabel(lambda g: _hbar_gen(g, k))
 
-        def fn(g1, g2):
-            b1, k1 = split(g1)
-            b2, k2 = split(g2)
-            acc = Accumulator((RULE_VAR,))
-            for j in range(0, N + 1 - k1 - k2):
-                e = self.mu(j).entry(b1, b2)
-                if e is None:
-                    return None
-                acc.add_lp(e.apply_mod(lambda me, k=k1 + k2 + j: tag(me, k)))
-            return acc.build()
+    def fn(g1, g2):
+        b1, k1 = split(g1)
+        b2, k2 = split(g2)
+        acc = Accumulator((RULE_VAR,))
+        for j in range(0, N + 1 - k1 - k2):
+            e = ds.mu(j).entry(b1, b2)
+            if e is None:
+                return None
+            acc.add_lp(e.apply_mod(lambda me, k=k1 + k2 + j: tag(me, k)))
+        return acc.build()
 
-        return ConformalAlgebra(f"hbar({self.alg.name})", fams,
-                                product=StructureRule("product", fn),
-                                bracket=StructureRule.zero("bracket"),
-                                kind=KIND_NC_POISSON)
+    return StructureRule("product", fn)
 
 
 def _hbar_associativity(ds: DeformationSeries, window: int) -> CheckReport:
@@ -156,7 +147,7 @@ def _hbar_associativity(ds: DeformationSeries, window: int) -> CheckReport:
     return run_tuple_check(
         "associativity",
         (t for ks in powers for t in itertools.product(*(lifted[k] for k in ks))),
-        table_residual(associator(ds.hbar_algebra().product)),
+        table_residual(associator(_hbar_product(ds))),
     )
 
 

@@ -2,7 +2,9 @@
 
 Line-oriented format, ``#`` comments.  ``D`` denotes the derivation symbol,
 ``L`` the spectral variable of a binary rule (``L1..``/``M1..`` in cochain
-values); rational literals only.  Example::
+values), and neither may name a pattern parameter; rational literals only.  A
+generator index is read by the coefficient grammar and must reduce to an
+integer affine form in the pattern parameters.  Example::
 
     name poly_poisson
     kind poisson
@@ -63,29 +65,25 @@ class NonRationalLiteral(ManifestError):
 # tokenizer
 # ---------------------------------------------------------------------------
 
-_TOKEN = re.compile(r"\s*(?:(?P<int>\d+\.\d+|\d+)|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
-                    r"|(?P<sym>[\[\]()=+\-*/^,]))")
+_TOKEN = re.compile(r"(?P<int>\d+\.\d+|\d+)|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
+                    r"|(?P<sym>[\[\]()=+\-*/^,])")
+_SPACE = re.compile(r"\s*")
 
 
-def _tokenize(text: str, line_no: int):
-    pos = 0
+def _tokenize(text: str, line_no: int, pos: int = 0):
+    """The tokens of text[pos:], each (kind, value, column in text)."""
     out = []
-    while pos < len(text):
+    while (pos := _SPACE.match(text, pos).end()) < len(text):
         m = _TOKEN.match(text, pos)
-        if not m or m.end() == pos:
-            if text[pos:].strip() == "":
-                break
+        if not m:
             raise ManifestSyntaxError(f"unexpected character {text[pos]!r}", line_no, pos + 1)
-        if m.group("int") is not None:
-            tok = m.group("int")
+        kind, tok = m.lastgroup, m.group()
+        if kind == "int":
             if "." in tok:
                 raise NonRationalLiteral(f"decimal literal {tok!r}; rationals only",
-                                         line_no, m.start("int") + 1)
-            out.append(("int", int(tok), m.start() + 1))
-        elif m.group("ident") is not None:
-            out.append(("ident", m.group("ident"), m.start() + 1))
-        else:
-            out.append(("sym", m.group("sym"), m.start() + 1))
+                                         line_no, pos + 1)
+            tok = int(tok)
+        out.append((kind, tok, pos + 1))
         pos = m.end()
     return out
 
@@ -95,7 +93,7 @@ def _tokenize(text: str, line_no: int):
 # generator reference per additive term
 # ---------------------------------------------------------------------------
 
-GenRef = tuple[str, tuple]  # family, tuple of affine forms (const, {param: coeff})
+GenRef = tuple[str, tuple]  # family, tuple of affine forms (const, ((param, coeff), ...))
 
 
 @dataclass(frozen=True)
@@ -126,34 +124,21 @@ class XPoly:
     def __neg__(self):
         return XPoly({k: -v for k, v in self.terms.items()})
 
-    def __mul__(self, other):
+    def mul(self, other, line, col):
+        """self * other; a product of two generators is a syntax error at
+        other's line and column."""
         out = {}
         for k1, v1 in self.terms.items():
             for k2, v2 in other.terms.items():
                 if k1.gen is not None and k2.gen is not None:
-                    raise ManifestSyntaxError("a term may contain at most one generator")
+                    raise ManifestSyntaxError("a term may contain at most one generator",
+                                              line, col)
                 gen = k1.gen or k2.gen
                 key = XKey(tuple(a + b for a, b in zip(k1.pexp, k2.pexp)),
                            k1.dpow + k2.dpow,
                            tuple(a + b for a, b in zip(k1.sexp, k2.sexp)), gen)
                 out[key] = out.get(key, Fraction(0)) + v1 * v2
         return XPoly(out)
-
-    def pow(self, n: int):
-        if n < 0:
-            raise ManifestSyntaxError("negative powers are not allowed")
-        if any(k.gen is not None for k in self.terms) and n > 1:
-            raise ManifestSyntaxError("cannot exponentiate a generator term")
-        out = XPoly.const(1, *self._shape())
-        for _ in range(n):
-            out = out * self
-        return out
-
-    def _shape(self):
-        k = next(iter(self.terms), None)
-        if k is None:
-            return (0, 0)
-        return (len(k.pexp), len(k.sexp))
 
 
 @dataclass
@@ -339,6 +324,11 @@ class _ExprParser:
         self.i += 1
         return t
 
+    def col(self):
+        """The column of the next token, None at the end."""
+        t = self.peek()
+        return t[2] if t else None
+
     def expect_sym(self, s):
         t = self.next()
         if t[0] != "sym" or t[1] != s:
@@ -383,21 +373,24 @@ class _ExprParser:
             t = self.peek()
             if t and t[0] == "sym" and t[1] == "*":
                 self.next()
-                v = v * self.factor()
-            elif t and (t[0] in ("int", "ident") or (t[0] == "sym" and t[1] == "(")):
-                v = v * self.factor()  # juxtaposition
-            else:
+            elif not (t and (t[0] in ("int", "ident") or t[1] == "(")):  # juxtaposition
                 return v
+            col = self.col()
+            v = v.mul(self.factor(), self.line, col)
 
     def factor(self) -> XPoly:
-        v = self.atom()
+        col = self.col()
+        base = self.atom()
         t = self.peek()
-        if t and t[0] == "sym" and t[1] == "^":
-            self.next()
-            e = self.next()
-            if e[0] != "int":
-                raise ManifestSyntaxError("exponent must be an integer", self.line, e[2])
-            v = v.pow(e[1])
+        if not (t and t[0] == "sym" and t[1] == "^"):
+            return base
+        self.next()
+        e = self.next()
+        if e[0] != "int":
+            raise ManifestSyntaxError("exponent must be an integer", self.line, e[2])
+        v = self._const(1)
+        for _ in range(e[1]):
+            v = v.mul(base, self.line, col)
         return v
 
     def atom(self) -> XPoly:
@@ -448,7 +441,7 @@ class _ExprParser:
         self.expect_sym("[")
         forms = []
         while True:
-            forms.append(self._affine())
+            forms.append(self._index())
             t = self.next()
             if t[0] == "sym" and t[1] == "]":
                 break
@@ -461,53 +454,21 @@ class _ExprParser:
                 self.line, col)
         return self._mono(gen=(name, tuple(forms)))
 
-    def _affine(self):
-        """Affine integer form in the bound parameters, e.g. m+n-1, 2*m."""
-        const = 0
-        coeffs: dict[str, int] = {}
-        sign = 1
-        expect_operand = True
-        while True:
-            t = self.peek()
-            if t is None:
-                raise ManifestSyntaxError("unterminated generator index", self.line)
-            if t[0] == "sym" and t[1] in ",]" and not expect_operand:
-                break
-            self.next()
-            if t[0] == "sym" and t[1] == "+" :
-                sign = 1
-                expect_operand = True
-                continue
-            if t[0] == "sym" and t[1] == "-":
-                sign = -1
-                expect_operand = True
-                continue
-            if t[0] == "int":
-                mult = t[1]
-                nxt = self.peek()
-                if nxt and nxt[0] == "sym" and nxt[1] == "*":
-                    self.next()
-                    p = self.next()
-                    if p[0] != "ident" or p[1] not in self.params:
-                        raise ManifestSyntaxError("index coefficient must multiply a parameter",
-                                                  self.line, p[2])
-                    coeffs[p[1]] = coeffs.get(p[1], 0) + sign * mult
-                else:
-                    const += sign * mult
-                sign = 1
-                expect_operand = False
-                continue
-            if t[0] == "ident":
-                if t[1] not in self.params:
-                    raise UndeclaredGenerator(
-                        f"unknown parameter {t[1]!r} in generator index", self.line, t[2])
-                coeffs[t[1]] = coeffs.get(t[1], 0) + sign
-                sign = 1
-                expect_operand = False
-                continue
-            raise ManifestSyntaxError(f"bad token {t[1]!r} in generator index",
-                                      self.line, t[2])
-        return (const, tuple(sorted(coeffs.items())))
+    def _index(self):
+        """One generator index, an expression that must reduce to an integer
+        affine form in the bound parameters: (const, ((param, coeff), ...))."""
+        col = self.col()
+        const, coeffs = 0, []
+        for key, c in self.expr().terms.items():
+            if key.gen or key.dpow or any(key.sexp) or sum(key.pexp) > 1 or c.denominator != 1:
+                raise ManifestSyntaxError(
+                    "a generator index must be an integer affine form in the pattern parameters",
+                    self.line, col)
+            if any(key.pexp):
+                coeffs.append((self.params[key.pexp.index(1)], int(c)))
+            else:
+                const = int(c)
+        return const, tuple(sorted(coeffs))
 
 
 def _token(tokens, i, line_no):
@@ -534,6 +495,9 @@ def _parse_pattern(tokens, i, line_no, families):
             if t[0] not in ("ident", "int"):
                 raise ManifestSyntaxError("pattern indices are names or integers",
                                           line_no, t[2])
+            if t[1] in ("D", "L"):
+                raise ManifestSyntaxError(f"{t[1]!r} is reserved; it cannot name a pattern "
+                                          "parameter", line_no, t[2])
             params.append(t[1])
             i += 1
             t = _token(tokens, i, line_no)
@@ -546,6 +510,26 @@ def _parse_pattern(tokens, i, line_no, families):
     if len(params) != fam.arity:
         raise ArityMismatch(f"family {name!r} has arity {fam.arity}", line_no, t[2])
     return (name, tuple(params)), i
+
+
+def _key_values(tokens, line_no):
+    """The (key token, integer) pairs of a run of `key [-]integer` pairs."""
+    out = []
+    i = 0
+    while i < len(tokens):
+        k = tokens[i]
+        if k[0] != "ident":
+            raise ManifestSyntaxError("expected an option name", line_no, k[2])
+        v = _token(tokens, i + 1, line_no)
+        sign = 1
+        if v[0] == "sym" and v[1] == "-":
+            sign, i = -1, i + 1
+            v = _token(tokens, i + 1, line_no)
+        if v[0] != "int":
+            raise ManifestSyntaxError("option values are integers", line_no, v[2])
+        out.append((k, sign * v[1]))
+        i += 2
+    return out
 
 
 def _parse_rule_line(tokens, line_no, families, npatterns) -> RuleDef:
@@ -584,11 +568,13 @@ def _parse_rule_line(tokens, line_no, families, npatterns) -> RuleDef:
 def parse(text: str) -> Manifest:
     man = Manifest()
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        code = raw.split("#", 1)[0]
+        line = code.strip()
         if not line:
             continue
         head, _, rest = line.partition(" ")
         rest = rest.strip()
+        start = code.index(line) + len(head)  # token columns count from the line's start
         if head == "name":
             if not rest:
                 raise ManifestSyntaxError("name needs a value", line_no)
@@ -598,45 +584,31 @@ def parse(text: str) -> Manifest:
                 raise ManifestSyntaxError(f"unknown kind {rest!r}", line_no)
             man.kind = rest
         elif head == "family":
-            toks = _tokenize(rest, line_no)
+            toks = _tokenize(code, line_no, start)
             if not toks or toks[0][0] != "ident":
                 raise ManifestSyntaxError("family needs a name", line_no)
             fname = toks[0][1]
             opts = {"arity": 1, "min": 0, "max": None}
-            i = 1
-            while i < len(toks):
-                k = toks[i]
-                if k[0] != "ident" or i + 1 >= len(toks):
-                    raise ManifestSyntaxError("family options are key value pairs",
-                                              line_no, k[2])
-                v = toks[i + 1]
-                neg = v[0] == "sym" and v[1] == "-"
-                if neg:
-                    i += 1
-                    v = _token(toks, i + 1, line_no)
-                if v[0] != "int":
-                    raise ManifestSyntaxError("family option values are integers",
-                                              line_no, v[2])
+            for k, v in _key_values(toks[1:], line_no):
                 if k[1] not in opts:
                     raise ManifestSyntaxError(f"unknown family option {k[1]!r}",
                                               line_no, k[2])
-                opts[k[1]] = -v[1] if neg else v[1]
-                i += 2
+                opts[k[1]] = v
             if fname in man.families:
                 raise ManifestSyntaxError(f"family {fname!r} redeclared", line_no)
             man.families[fname] = GenFamily(fname, opts["arity"], opts["min"], opts["max"])
         elif head == "generator":
-            toks = _tokenize(rest, line_no)
+            toks = _tokenize(code, line_no, start)
             if len(toks) != 1 or toks[0][0] != "ident":
                 raise ManifestSyntaxError("generator needs a single name", line_no)
             man.families[toks[0][1]] = GenFamily(toks[0][1], 0)
         elif head in ("product", "bracket"):
-            toks = _tokenize(rest, line_no)
+            toks = _tokenize(code, line_no, start)
             rd = _parse_rule_line(toks, line_no, man.families, 2)
             rd.text = rest
             (man.product_defs if head == "product" else man.bracket_defs).append(rd)
         elif head == "deform":
-            toks = _tokenize(rest, line_no)
+            toks = _tokenize(code, line_no, start)
             if not toks or toks[0][0] != "int":
                 raise ManifestSyntaxError("deform needs an order", line_no)
             order = toks[0][1]
@@ -644,7 +616,7 @@ def parse(text: str) -> Manifest:
             rd.text = rest.split(" ", 1)[1].strip()
             man.deform_defs.setdefault(order, []).append(rd)
         elif head == "nijenhuis":
-            toks = _tokenize(rest, line_no)
+            toks = _tokenize(code, line_no, start)
             rd = _parse_rule_line(toks, line_no, man.families, 1)
             rd.text = rest
             man.nijenhuis_defs.append(rd)
@@ -653,14 +625,11 @@ def parse(text: str) -> Manifest:
                 raise ManifestSyntaxError("only the adjoint module is declarable", line_no)
             man.module = rest
         elif head == "option":
-            toks = _tokenize(rest, line_no)
-            if len(toks) < 2 or toks[0][0] != "ident":
-                raise ManifestSyntaxError("option needs a key and an integer value", line_no)
-            neg = len(toks) == 3 and toks[1][0] == "sym" and toks[1][1] == "-"
-            vtok = toks[-1]
-            if vtok[0] != "int":
-                raise ManifestSyntaxError("option values are integers", line_no, vtok[2])
-            man.options[toks[0][1]] = -vtok[1] if neg else vtok[1]
+            pairs = _key_values(_tokenize(code, line_no, start), line_no)
+            if len(pairs) != 1:
+                raise ManifestSyntaxError("option needs one key and an integer value", line_no)
+            (k, v), = pairs
+            man.options[k[1]] = v
         else:
             raise ManifestSyntaxError(f"unknown directive {head!r}", line_no)
     return man

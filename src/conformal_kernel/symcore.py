@@ -456,9 +456,35 @@ def form_power(context: tuple[str, ...], form: tuple[dict[str, Q], Q],
     return got
 
 
-_FORM_KEYS: dict[tuple, int] = {}  # (context, forms) -> a short name for _FORM_PRODUCTS
-_FORM_PRODUCTS: dict[tuple, list[tuple[Q, tuple[int, ...], int]]] = {}
 _MOVED_PRODUCTS: dict[tuple, list[tuple[Q, tuple[int, ...], int]]] = {}
+
+
+class _FormProducts(dict):
+    """{exps: prod of forms[i]^exps[i]} over ctx, an entry filled on first
+    read (``_form_product``)."""
+
+    __slots__ = ("ctx", "forms")
+
+    def __init__(self, ctx, forms):
+        super().__init__()
+        self.ctx, self.forms = ctx, tuple((dict(c), d) for c, d in forms)
+
+    def __missing__(self, exps):
+        got = self[exps] = _form_product(self.ctx, self.forms, exps)
+        return got
+
+
+_FORM_PRODUCTS: dict[tuple, _FormProducts] = {}  # (context, forms) -> their table
+
+
+def form_products(ctx: tuple[str, ...], forms) -> _FormProducts:
+    """The cached table of products of the linear forms `forms` over ctx, by
+    exponent vector: [(scalar, exponent vector, D-power)] per entry."""
+    key = (ctx,) + tuple((tuple(c.items()), d) for c, d in forms)
+    got = _FORM_PRODUCTS.get(key)
+    if got is None:
+        got = _FORM_PRODUCTS[key] = _FormProducts(ctx, forms)
+    return got
 
 
 def substitute(lp: "LambdaPoly", forms: dict[str, tuple[dict[str, Q], Q]],
@@ -483,15 +509,10 @@ def _expand(acc: "Accumulator", lp: "LambdaPoly", forms, shift: tuple[int, ...],
     prod(forms[i]^(e_i + shift[i])) over acc's context, for a monomial mono
     of that context (None for 1); return acc.  Products are cached per
     exponent vector."""
-    key = (acc.context,) + tuple((tuple(c.items()), d) for c, d in forms)
-    key = _FORM_KEYS.setdefault(key, len(_FORM_KEYS))
+    table = form_products(acc.context, forms)
     data = acc.data
     for e, b in lp.data.items():
-        exps = tuple(map(add, e, shift)) + e[len(shift):] + shift[len(e):]
-        got = _FORM_PRODUCTS.get((key, exps))
-        if got is None:
-            got = _FORM_PRODUCTS[key, exps] = _form_product(acc.context, forms, exps)
-        for c, inc, kd in got:
+        for c, inc, kd in table[tuple(map(add, e, shift)) + e[len(shift):] + shift[len(e):]]:
             _merge(data, inc if mono is None else tuple(map(add, mono, inc)), b, scale * c, kd)
     return acc
 

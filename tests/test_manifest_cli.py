@@ -9,6 +9,7 @@ from conformal_kernel.algebra import check_poisson, suite_passes
 from conformal_kernel.cli import main
 from conformal_kernel.manifest import (
     ArityMismatch,
+    ManifestError,
     ManifestSyntaxError,
     NonRationalLiteral,
     UndeclaredGenerator,
@@ -98,12 +99,83 @@ class TestParser:
                 assert a1.bracket.entry(gen("x", m), gen("x", n)) == \
                     a2.bracket.entry(gen("x", m), gen("x", n))
 
+    def test_roundtrip_serialize_scaled_index(self):
+        man = parse("family x arity 1 min 0\nproduct x[m] x[n] = m*L x[2*(m+1)]\n")
+        man2 = parse(man.serialize())
+        assert man2.serialize() == man.serialize()
+        assert man.algebra().product.entry(gen("x", 1), gen("x", 0)) == \
+            LambdaPoly.of(("·v",), ModElement.of(gen("x", 4)), (1,))
+        for m in range(3):
+            for n in range(3):
+                assert man.algebra().product.entry(gen("x", m), gen("x", n)) == \
+                    man2.algebra().product.entry(gen("x", m), gen("x", n))
+
     def test_deformation_and_nijenhuis_sections(self):
         man = parse_file(os.path.join(DEMOS, "ex2_17.alg"))
         ds = man.deformation()
         assert ds.order == 2
         N = man.nijenhuis()
         assert N.entry(gen("x", 1)) == ModElement.of(gen("x", 2))
+
+
+class TestIndexGrammar:
+    """A generator index is read by the coefficient grammar and must reduce
+    to an integer affine form in the pattern parameters."""
+
+    HEAD = "name index\nkind poisson\nfamily x arity 1 min 0\ngenerator e\n"  # then line 5
+
+    def entries(self, index):
+        prod = parse(self.HEAD + f"product x[m] x[n] = x[{index}]\n").algebra().product
+        return [prod.entry(gen("x", m), gen("x", n)) for m in range(4) for n in range(4)]
+
+    def test_scaled_parameter_reads_alike(self):
+        want = self.entries("2*m")
+        assert want[3 * 4 + 1] == LambdaPoly.of(("·v",), ModElement.of(gen("x", 6)))
+        assert self.entries("2m") == want
+        assert self.entries("(m+m)") == want
+
+    def test_affine_index_against_hand_value(self):
+        prod = parse(self.HEAD + "product x[m] x[n] = x[-m+2*n+1]\n").algebra().product
+        for m in range(3):
+            for n in range(3):
+                e = prod.entry(gen("x", m), gen("x", n))
+                if -m + 2 * n + 1 < 0:
+                    assert e is None
+                else:
+                    assert e == LambdaPoly.of(("·v",), ModElement.of(gen("x", -m + 2 * n + 1)))
+
+    @pytest.mark.parametrize("line, at", [
+        ("product x[m] x[n] = x[m n]", "m n]"),
+        ("product x[m] x[n] = x[m^2]", "m^2]"),
+        ("product x[m] x[n] = x[1/2]", "1/2]"),
+        ("product x[m] x[n] = x[L]", "L]"),
+        ("product x[m] x[n] = x[D]", "D]"),
+        ("product x[m] x[n] = x[e]", "e]"),
+        ("product x[L] x[n] = L x[L+n]", "L]"),
+        ("product x[m] x[D] = x[m]", "D]"),
+        ("product x[m] x[n] = x[m] x[n]", "x[n]"),
+        ("product x[m] x[n] = x[m]^2", "x[m]^"),
+    ])
+    def test_rejected_at_line_and_column(self, tmp_path, capsys, line, at):
+        with pytest.raises(ManifestError) as e:
+            parse(self.HEAD + line + "\n")
+        col = line.rindex(at) + 1
+        assert (e.value.line, e.value.col) == (5, col)
+        path = tmp_path / "bad.alg"
+        path.write_text(self.HEAD + line + "\n")
+        assert main(["check", str(path), "--window", "1"]) == 3
+        assert capsys.readouterr().err.endswith(f"(line 5, col {col})\n")
+
+    @pytest.mark.parametrize("line", ["option window 4 5", "option a b 4", "option window"])
+    def test_option_takes_one_signed_pair(self, line):
+        with pytest.raises(ManifestSyntaxError) as e:
+            parse(self.HEAD + line + "\n")
+        assert e.value.line == 5
+
+    def test_signed_option_and_family_values(self):
+        man = parse("family y arity 1 min -2 max 1\noption window -1\n")
+        assert (man.families["y"].lo, man.families["y"].hi) == (-2, 1)
+        assert man.options == {"window": -1}
 
 
 class TestRenderer:
@@ -264,6 +336,9 @@ class TestInconclusiveExit:
         if command == "deform":
             assert any('note="extension not determined: no tuple in the window"' in ln
                        for ln in lines)
+        if command == "coeff":
+            line, = [ln for ln in lines if "name=closed_form_comparison" in ln]
+            assert 'note="no mode pair was compared"' in line
         assert code == 2
 
 
