@@ -373,8 +373,8 @@ class _ExprParser:
             t = self.peek()
             if t and t[0] == "sym" and t[1] == "*":
                 self.next()
-            elif not (t and (t[0] in ("int", "ident") or t[1] == "(")):  # juxtaposition
-                return v
+            elif not (t and (t[0] in ("int", "ident") or t[1] == "(")):
+                return v  # neither '*' nor a juxtaposed factor follows
             col = self.col()
             v = v.mul(self.factor(), self.line, col)
 
@@ -613,7 +613,7 @@ def parse(text: str) -> Manifest:
                 raise ManifestSyntaxError("deform needs an order", line_no)
             order = toks[0][1]
             rd = _parse_rule_line(toks[1:], line_no, man.families, 2)
-            rd.text = rest.split(" ", 1)[1].strip()
+            rd.text = rest.split(None, 1)[1]
             man.deform_defs.setdefault(order, []).append(rd)
         elif head == "nijenhuis":
             toks = _tokenize(code, line_no, start)

@@ -100,9 +100,11 @@ class TestParser:
                     a2.bracket.entry(gen("x", m), gen("x", n))
 
     def test_roundtrip_serialize_scaled_index(self):
-        man = parse("family x arity 1 min 0\nproduct x[m] x[n] = m*L x[2*(m+1)]\n")
+        man = parse("family x arity 1 min 0\nproduct x[m] x[n] = m*L x[2*(m+1)]\n"
+                    "deform 1\tx[p] x[q] = x[2*(p+q)]\n")
         man2 = parse(man.serialize())
         assert man2.serialize() == man.serialize()
+        assert "deform 1 x[p] x[q] = x[2*(p+q)]\n" in man.serialize()
         assert man.algebra().product.entry(gen("x", 1), gen("x", 0)) == \
             LambdaPoly.of(("·v",), ModElement.of(gen("x", 4)), (1,))
         for m in range(3):
