@@ -131,9 +131,10 @@ class StructureRule:
     """Generator-pair table/rule for one bilinear lambda-operation.
 
     ``fn(g1, g2)`` returns the value as a LambdaPoly in the single variable
-    RULE_VAR, or None when the pair is outside the window.  Concrete table
-    entries take precedence over the family rule, and the two must agree on
-    any overlap (checked when both are supplied).
+    RULE_VAR, or None when the pair is outside the window; entries are
+    cached per pair.  Where a manifest gives a concrete entry and a family
+    rule for one pair, the concrete entry wins (``manifest.instantiate``):
+    nothing checks that the two agree, so a concrete entry can override.
     """
 
     def __init__(self, kind: str, fn: Callable[[GenIndex, GenIndex], LambdaPoly | None]):

@@ -6,14 +6,17 @@ polynomial in the canonical slot variables c1..c_{m+n-1} (the final slot
 carries no variable).  Evaluation on arbitrary module elements extends the
 stored rule by the slot sesquilinearity rules, so those identities hold by
 construction; the symmetry of a cochain in its bracket-type slots (with the
-dagger substitution when n = 0) is a property of the stored rule.
+dagger substitution when n = 0) is a property of the stored rule, which the
+differentials assume.  An argument sits at its linear form (``_form``): its
+slot variable, or for the final argument the dagger -(sum of the others) - D.
 
 Implemented differentials:
 
 * ``d_h``   -- the Hochschild-type differential (m, n) -> (m, n+1) for n >= 1;
                bidegree (m, 0) enters through the inclusion into (m-1, 1);
 * ``d_ce``  -- the Chevalley-Eilenberg-type differential (m, n) -> (m+1, n),
-               with the dagger terms at n = 0;
+               one formula for every n (Bakalov-Kac-Voronov 1999); at n = 0
+               its final argument sits at the dagger form;
 * ``d_total`` -- the bigraded total differential with signs
                sum(d_ce + (-1)^m d_h), acting on graded cochains.
 
@@ -226,6 +229,14 @@ def _gen_args(gens: Sequence[GenIndex], ctx: tuple[str, ...] = ()) -> list[Lambd
     return [LambdaPoly.of(ctx, ModElement.of(g)) for g in gens]
 
 
+def _form(ivars: Sequence[str | None], k: int) -> tuple[dict[str, int], int]:
+    """The linear form of item k: its variable ivars[k], or for the final
+    item (None) the dagger -(sum of the others) - D."""
+    if ivars[k] is None:
+        return {u: -1 for u in ivars if u is not None}, -1
+    return {ivars[k]: 1}, 0
+
+
 def _eval_pair_in_slot(gamma: Cochain, rule: StructureRule, items: Sequence[LambdaPoly],
                        ivars: Sequence[str | None], layout: Sequence,
                        ctx: tuple[str, ...]) -> LambdaPoly:
@@ -235,8 +246,8 @@ def _eval_pair_in_slot(gamma: Cochain, rule: StructureRule, items: Sequence[Lamb
     ``layout`` lists gamma's slots in order: an item index, or the pair
     (i, j) of the item indices that B pairs.  ``ivars[k]`` is the output
     variable of item k; the final item has none (None), so in a slot that
-    carries a variable it stands for the dagger form -(sum of ivars) - D.
-    B's slot form is ivars[i] + ivars[j] and its pair variable v is
+    carries a variable it sits at the dagger form (``_form``).  B's slot
+    form is the sum of its two items' forms, and its pair variable v is
     ivars[i] itself (no output variable occurs in the items' context).
     """
     return _pair_in_slot_into(Accumulator(ctx), gamma, rule, items, ivars, layout).build()
@@ -249,9 +260,9 @@ def _pair_in_slot_into(acc: Accumulator, gamma: Cochain, rule: StructureRule,
     (i, j), = [slot for slot in layout if isinstance(slot, tuple)]
     B = pair(rule, items[i], items[j], ivars[i])
     args = [B if slot == (i, j) else items[slot] for slot in layout]
-    dagger = ({u: -1 for u in ivars if u is not None}, -1)
-    forms = [({ivars[i]: 1, ivars[j]: 1}, 0) if slot == (i, j)
-             else dagger if ivars[slot] is None else ({ivars[slot]: 1}, 0)
+    (ci, di), (cj, dj) = _form(ivars, i), _form(ivars, j)
+    pair_form = {u: t for u in {**ci, **cj} if (t := ci.get(u, 0) + cj.get(u, 0))}, di + dj
+    forms = [pair_form if slot == (i, j) else _form(ivars, slot)
              for slot in layout[:-1]]  # the final slot carries no variable
     return _eval_into(acc, gamma, args, forms, scale)
 
@@ -297,82 +308,40 @@ def d_h(P: ConformalAlgebra, V: ConformalModule, gamma: Cochain) -> Cochain:
 
 
 def d_ce(P: ConformalAlgebra, V: ConformalModule, gamma: Cochain) -> Cochain:
-    """Chevalley-Eilenberg-type differential (m, n) -> (m+1, n)."""
-    return _d_ce_lie(P, V, gamma) if gamma.n == 0 else _d_ce_mixed(P, V, gamma)
-
-
-def _d_ce_lie(P: ConformalAlgebra, V: ConformalModule, gamma: Cochain) -> Cochain:
-    k = gamma.m
-    out_vars = canon_vars(k)
-
-    def value(gens):
-        out = Accumulator(out_vars)
-        items, ivars = _gen_args(gens), out_vars + (None,)
-
-        # a_i acting on gamma(.. hat i .., a_{k+1})
-        for i in range(1, k + 1):
-            rest = gens[:i - 1] + gens[i:k] + (gens[k],)
-            svars = [out_vars[j] for j in range(k) if j != i - 1][: k - 1]
-            inner = _renamed(gamma, rest, svars)
-            _pair_into(out, V.lie, const_lp(ModElement.of(gens[i - 1])), inner,
-                       ({out_vars[i - 1]: 1}, 0), (-1) ** (i + 1))
-
-        # gamma(.. hat i .. hat j .., a_{k+1} at dagger, [a_i a_j])
-        for i in range(1, k + 1):
-            for j in range(i + 1, k + 1):
-                layout = [t for t in range(k) if t not in (i - 1, j - 1)] + [k, (i - 1, j - 1)]
-                _pair_in_slot_into(out, gamma, P.bracket, items, ivars, layout,
-                                   (-1) ** (k + i + j + 1))
-
-        # a_{k+1} at dagger acting on gamma(a_1..a_k)
-        inner = _renamed(gamma, gens[:k], out_vars[:k - 1])
-        _pair_into(out, V.lie, const_lp(ModElement.of(gens[k])), inner,
-                   ({u: -1 for u in out_vars}, -1), (-1) ** k)
-
-        # gamma(.. hat i .., [a_i a_{k+1}])
-        for i in range(1, k + 1):
-            layout = [t for t in range(k) if t != i - 1] + [(i - 1, k)]
-            _pair_in_slot_into(out, gamma, P.bracket, items, ivars, layout, (-1) ** i)
-
-        return out.build()
-
-    return Cochain(k + 1, 0, value)
-
-
-def _d_ce_mixed(P: ConformalAlgebra, V: ConformalModule, gamma: Cochain) -> Cochain:
+    """Chevalley-Eilenberg-type differential (m, n) -> (m+1, n), for every
+    n >= 0 the formula of Bakalov, Kac and Voronov ("Cohomology of conformal
+    algebras", Comm. Math. Phys. 200, 1999) on the bracket-type arguments
+    x_1..x_{m+1}, each at its form (``_form``): x_i acts on gamma with x_i
+    left out, sign (-1)^(i+1); x_i is bracketed into each product-type
+    slot, sign (-1)^i; [x_i x_j] fills the first slot, sign (-1)^(i+j).  At
+    n = 0 the final argument x_{m+1} acts at the dagger form, and
+    [x_i x_{m+1}] sits at lambda_i + (-sum lambda - D).  The formula assumes
+    the stored rule's symmetry in the bracket-type slots, with the dagger
+    substitution at n = 0; on a rule without it, such as a symmetric
+    product rule retagged to (2, 0), other arrangements of the same formula
+    give other images."""
     m, n = gamma.m, gamma.n
     out_vars = canon_vars(m + n)
-    xvars = out_vars[:m + 1]
-    avars = out_vars[m + 1:]
+    s = m + n + 1  # the image's items
 
     def value(gens):
-        xs, asr = gens[:m + 1], gens[m + 1:]
         out = Accumulator(out_vars)
         items, ivars = _gen_args(gens), out_vars + (None,)
+        for i in range(m + 1):
+            rest = [t for t in range(s) if t != i]
+            # x_i acting on the value with x_i left out
+            inner = _renamed(gamma, tuple(gens[t] for t in rest), [ivars[t] for t in rest[:-1]])
+            _pair_into(out, V.lie, const_lp(ModElement.of(gens[i])), inner, _form(ivars, i),
+                       (-1) ** i)
+            # x_i bracketed into each product-type slot
+            for j in range(m + 1, s):
+                layout = [(i, j) if t == j else t for t in rest]
+                _pair_in_slot_into(out, gamma, P.bracket, items, ivars, layout, -(-1) ** i)
 
-        for i in range(1, m + 2):
-            sign_i = (-1) ** (i + 1)
-            rest = xs[:i - 1] + xs[i:]
-            rest_vars = [xvars[t] for t in range(m + 1) if t != i - 1] + list(avars)
-
-            # x_i acting on the value with x_i omitted
-            inner = _renamed(gamma, rest + asr, rest_vars)
-            _pair_into(out, V.lie, const_lp(ModElement.of(xs[i - 1])), inner,
-                       ({xvars[i - 1]: 1}, 0), sign_i)
-
-            # bracket of x_i into each product-type slot (a_j is item m+j)
-            for j in range(1, n + 1):
-                layout = [t for t in range(m + 1) if t != i - 1] + [*range(m + 1, m + j)] \
-                    + [(i - 1, m + j), *range(m + j + 1, m + n + 1)]
-                _pair_in_slot_into(out, gamma, P.bracket, items, ivars, layout, -sign_i)
-
-        # [x_i x_j] placed in the first bracket-type slot
-        for i in range(1, m + 2):
-            for j in range(i + 1, m + 2):
-                layout = [(i - 1, j - 1)] + [t for t in range(m + 1) if t not in (i - 1, j - 1)] \
-                    + [*range(m + 1, m + n + 1)]
-                _pair_in_slot_into(out, gamma, P.bracket, items, ivars, layout, (-1) ** (i + j))
-
+        # [x_i x_j] in the first slot
+        for i, j in itertools.combinations(range(m + 1), 2):
+            layout = [(i, j)] + [t for t in range(s) if t not in (i, j)]
+            _pair_in_slot_into(out, gamma, P.bracket, items, ivars, layout, (-1) ** (i + j))
         return out.build()
 
     return Cochain(m + 1, n, value)
@@ -399,7 +368,9 @@ def canonical_bidegree(m: int, n: int) -> tuple[int, int]:
 
 def d_total(P: ConformalAlgebra, V: ConformalModule, graded: Graded,
             degree0: ModElement | None = None) -> Graded:
-    """One step of the total differential sum(d_ce + (-1)^m d_h).
+    """One step of the total differential sum(d_ce + (-1)^m d_h), each d_h
+    image added at its own bidegree (m, n+1), or (m-1, 2) from (m, 0), with
+    the sign of its own m.
 
     Components at every bidegree are produced (including the transient m = 1
     column the bigraded sum passes through); same-bidegree contributions add.
@@ -416,10 +387,8 @@ def d_total(P: ConformalAlgebra, V: ConformalModule, graded: Graded,
         if (gamma.m, gamma.n) != (m, n):
             gamma = gamma.retag(m, n)
         add((m + 1, n), d_ce(P, V, gamma))
-        if n >= 1:
-            add((m, n + 1), d_h(P, V, gamma).scale((-1) ** m))
-        elif m >= 1:
-            add((m - 1, 2), d_h(P, V, gamma).scale((-1) ** (m - 1)))
+        h = d_h(P, V, gamma)
+        add((h.m, h.n), h.scale((-1) ** h.m))
     return out
 
 
@@ -520,16 +489,15 @@ def symmetrize(raw: Callable[[tuple[GenIndex, ...]], LambdaPoly], m: int, n: int
     """
     s = m + n
     base = canon_vars(s - 1)
-    dagger = ({u: -1 for u in base}, -1)
+    ivars = base + (None,)
 
     def sym_value(gens):
         acc = Accumulator(base)
         for perm in itertools.permutations(range(m)):
             order = list(perm) + list(range(m, s))
             v = raw(tuple(gens[order[j]] for j in range(s)))
-            forms = tuple(({base[order[j]]: 1}, 0) if order[j] <= s - 2 else dagger
-                          for j in range(s - 1))
-            _expand(acc, v, forms, (), _perm_sign(perm))
+            _expand(acc, v, tuple(_form(ivars, order[j]) for j in range(s - 1)), (),
+                    _perm_sign(perm))
         return acc.build()
 
     return sym_value
@@ -685,9 +653,8 @@ def check_complex_identities(P: ConformalAlgebra, V: ConformalModule,
         gamma = random_cochain(m, n, seed=seed * 100003 + si * 17 + m * 7 + n, family=fam,
                                d_max=d_max, l_max=l_max(m, n))
         tuples = random_gen_tuples(m + n + 2, tuples_per_sample, seed + si + 1, fam)
-        g1 = gamma if n >= 1 else gamma.retag(m - 1, 1)
         return _sweep(si, [(("d_ce2", m, n), d_ce(P, V, d_ce(P, V, gamma)).value, tuples),
-                           (("d_h2", m, n), d_h(P, V, d_h(P, V, g1)).value, tuples)])
+                           (("d_h2", m, n), d_h(P, V, d_h(P, V, gamma)).value, tuples)])
 
     def bottom(m, si):
         gamma = random_cochain(m, 0, seed=seed * 31 + si * 5 + m, family=fam,

@@ -319,7 +319,7 @@ def _deformed_product(acc: Accumulator, rule: StructureRule, N: LinearRule, a, b
     A, B = const_lp(a), const_lp(b)
     _pair_into(acc, rule, const_lp(N.apply(a)), B, ({var: 1}, 0), scale)
     _pair_into(acc, rule, A, const_lp(N.apply(b)), ({var: 1}, 0), scale)
-    acc.add(N.apply_lp(pair(rule, A, B, var)), -scale)
+    acc.add_lp(N.apply_lp(pair(rule, A, B, var)), -scale)
     return acc
 
 

@@ -4,7 +4,9 @@ Line-oriented format, ``#`` comments.  ``D`` denotes the derivation symbol,
 ``L`` the spectral variable of a binary rule (``L1..``/``M1..`` in cochain
 values), and neither may name a pattern parameter; rational literals only.  A
 generator index is read by the coefficient grammar and must reduce to an
-integer affine form in the pattern parameters.  Example::
+integer affine form in the pattern parameters.  A directive word ends at any
+whitespace; a name is declared once, and ``window`` is the only option.
+Example::
 
     name poly_poisson
     kind poisson
@@ -478,7 +480,9 @@ def _token(tokens, i, line_no):
     return tokens[i]
 
 
-def _parse_pattern(tokens, i, line_no, families):
+def _parse_pattern(tokens, i, line_no, families, bound):
+    """One generator pattern from tokens[i]; its parameter names are
+    appended to `bound`, the names bound so far on the line."""
     t = _token(tokens, i, line_no)
     if t[0] != "ident":
         raise ManifestSyntaxError("expected a generator pattern", line_no, t[2])
@@ -498,6 +502,11 @@ def _parse_pattern(tokens, i, line_no, families):
             if t[1] in ("D", "L"):
                 raise ManifestSyntaxError(f"{t[1]!r} is reserved; it cannot name a pattern "
                                           "parameter", line_no, t[2])
+            if t[0] == "ident":
+                if t[1] in bound:
+                    raise ManifestSyntaxError(f"repeated pattern parameter {t[1]!r}",
+                                              line_no, t[2])
+                bound.append(t[1])
             params.append(t[1])
             i += 1
             t = _token(tokens, i, line_no)
@@ -534,24 +543,15 @@ def _key_values(tokens, line_no):
 
 def _parse_rule_line(tokens, line_no, families, npatterns) -> RuleDef:
     i = 0
-    patterns = []
+    patterns, params = [], []
     for _ in range(npatterns):
-        pat, i = _parse_pattern(tokens, i, line_no, families)
+        pat, i = _parse_pattern(tokens, i, line_no, families, params)
         patterns.append(pat)
     t = tokens[i] if i < len(tokens) else None
     if not (t and t[0] == "sym" and t[1] == "="):
         raise ManifestSyntaxError("expected '=' after pattern(s)", line_no,
                                   t[2] if t else None)
     i += 1
-    params: list[str] = []
-    seen = set()
-    for fam, pats in patterns:
-        for p in pats:
-            if isinstance(p, str):
-                if p in seen:
-                    raise ManifestSyntaxError(f"repeated pattern parameter {p!r}", line_no)
-                seen.add(p)
-                params.append(p)
     spec_vars = ("L",) if npatterns == 2 else ()
     rhs_tokens = tokens[i:]
     if len(rhs_tokens) == 1 and rhs_tokens[0][0] == "int" and rhs_tokens[0][1] == 0:
@@ -565,6 +565,14 @@ def _parse_rule_line(tokens, line_no, families, npatterns) -> RuleDef:
     return RuleDef(tuple(patterns), tuple(params), rhs, spec_vars, "", line_no)
 
 
+def _declare(man: Manifest, fam: GenFamily, line_no: int, col: int) -> None:
+    """Add a family (a generator is one of arity 0); a name declared twice
+    is an error at its column."""
+    if fam.name in man.families:
+        raise ManifestSyntaxError(f"family {fam.name!r} redeclared", line_no, col)
+    man.families[fam.name] = fam
+
+
 def parse(text: str) -> Manifest:
     man = Manifest()
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -572,8 +580,8 @@ def parse(text: str) -> Manifest:
         line = code.strip()
         if not line:
             continue
-        head, _, rest = line.partition(" ")
-        rest = rest.strip()
+        head = line.split(None, 1)[0]
+        rest = line[len(head):].strip()
         start = code.index(line) + len(head)  # token columns count from the line's start
         if head == "name":
             if not rest:
@@ -594,14 +602,13 @@ def parse(text: str) -> Manifest:
                     raise ManifestSyntaxError(f"unknown family option {k[1]!r}",
                                               line_no, k[2])
                 opts[k[1]] = v
-            if fname in man.families:
-                raise ManifestSyntaxError(f"family {fname!r} redeclared", line_no)
-            man.families[fname] = GenFamily(fname, opts["arity"], opts["min"], opts["max"])
+            _declare(man, GenFamily(fname, opts["arity"], opts["min"], opts["max"]), line_no,
+                     toks[0][2])
         elif head == "generator":
             toks = _tokenize(code, line_no, start)
             if len(toks) != 1 or toks[0][0] != "ident":
                 raise ManifestSyntaxError("generator needs a single name", line_no)
-            man.families[toks[0][1]] = GenFamily(toks[0][1], 0)
+            _declare(man, GenFamily(toks[0][1], 0), line_no, toks[0][2])
         elif head in ("product", "bracket"):
             toks = _tokenize(code, line_no, start)
             rd = _parse_rule_line(toks, line_no, man.families, 2)
@@ -629,6 +636,8 @@ def parse(text: str) -> Manifest:
             if len(pairs) != 1:
                 raise ManifestSyntaxError("option needs one key and an integer value", line_no)
             (k, v), = pairs
+            if k[1] != "window":
+                raise ManifestSyntaxError(f"unknown option {k[1]!r}", line_no, k[2])
             man.options[k[1]] = v
         else:
             raise ManifestSyntaxError(f"unknown directive {head!r}", line_no)

@@ -560,11 +560,6 @@ class Accumulator:
         for key, b in zip(keys, lp.data.values()):
             _merge(self.data, key, b, scale)
 
-    def add(self, lp: "LambdaPoly", scale=ONE):
-        """Add scale * lp, embedding lp's variables by name (each must be in
-        this accumulator's context)."""
-        self.add_lp(lp if lp.context == self.context else substitute(lp, {}, self.context), scale)
-
     def build(self) -> "LambdaPoly":
         return _clean(self.context, self.data.items())
 

@@ -180,6 +180,40 @@ class TestIndexGrammar:
         assert man.options == {"window": -1}
 
 
+class TestDirectiveLines:
+    """A directive word ends at any whitespace, and a declaration that the
+    engine would drop or never read is a located error (exit 3)."""
+
+    HEAD = "name lines\nkind poisson\nfamily x arity 1 min 0\n"  # then line 4
+
+    def test_tab_after_the_directive(self):
+        man = parse(self.HEAD + "product\tx[m] x[n] = x[m+n]\n"
+                    "bracket \t x[m] x[n] = (m*D + (m+n)*L) x[m+n-1]\n")
+        assert "product x[m] x[n] = x[m+n]\n" in man.serialize()
+        assert "bracket x[m] x[n] = (m*D + (m+n)*L) x[m+n-1]\n" in man.serialize()
+        assert suite_passes(check_poisson(man.algebra(), window=2))
+
+    @pytest.mark.parametrize("line, message, at", [
+        ("product x[m] x[m] = x[m]", "repeated pattern parameter 'm'", "m] ="),
+        ("generator x", "family 'x' redeclared", "x"),
+        ("generator e\ngenerator e", "family 'e' redeclared", "e"),
+        ("generator e\nfamily e arity 1 min 0", "family 'e' redeclared", "e arity"),
+        ("option windw 1", "unknown option 'windw'", "windw"),
+    ])
+    def test_rejected_at_line_and_column(self, tmp_path, capsys, line, message, at):
+        text = self.HEAD + line + "\nproduct x[m] x[n] = x[m+n]\n"
+        last = line.split("\n")[-1]
+        where = (4 + line.count("\n"), last.rindex(at) + 1)
+        with pytest.raises(ManifestSyntaxError) as e:
+            parse(text)
+        assert str(e.value).startswith(message)
+        assert (e.value.line, e.value.col) == where
+        path = tmp_path / "bad.alg"
+        path.write_text(text)
+        assert main(["check", str(path), "--window", "1"]) == 3
+        assert capsys.readouterr().err.endswith(f"(line {where[0]}, col {where[1]})\n")
+
+
 class TestRenderer:
     def test_poly_rendering_deterministic(self):
         p = LambdaPoly.of(("L", "M"), ModElement.of(gen("x", 1), DPoly.d_power(1, 2)), (1, 0)) \
