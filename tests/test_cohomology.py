@@ -15,6 +15,7 @@ from conformal_kernel.algebra import (
     PreconditionFailed,
     StructureRule,
     WindowEscape,
+    _pair_into,
     eval_op,
     pair,
     const_lp,
@@ -199,8 +200,6 @@ def lie_d_ce_oracle(P, V, gamma):
     """The (k, 0) -> (k+1, 0) differential as the engine wrote it before one
     d_ce formula served every bidegree: [a_i a_j] in the final slot, with
     a_{k+1} moved to a non-final slot at the dagger form."""
-    from conformal_kernel.algebra import _pair_into
-
     k = gamma.m
     out_vars = canon_vars(k)
 
