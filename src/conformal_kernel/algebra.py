@@ -289,23 +289,64 @@ INNER = "{X_L {Y_M Z}}"
 OUTER = "{{X_L Y}_{L+M} Z}"
 SWAP = "{Y_M {X_L Z}}"
 
+_L_PLUS_M = ({L: 1, M: 1}, 0)  # the outer form of OUTER
+_DAGGER = ({L: -1}, -1)  # -L - D, where a two-slot law reads b.a
+
 
 def nested_sum(terms: Iterable[tuple], a: ModElement, b: ModElement, c: ModElement) -> Accumulator:
     """The sum of a term table at (a, b, c), unbuilt, in the context (L, M).
     A term is (shape, outer rule, inner rule, sign), read with
     (X, Y, Z) = (a, b, c); a fifth entry gives the positions in (a, b, c)
-    of X, Y and Z, for a term that reads the triple permuted."""
-    items = const_lp(a), const_lp(b), const_lp(c)
+    of X, Y and Z, for a term that reads the triple permuted.
+
+    Each term is read straight off the buckets: the inner pair is the term
+    list of ``_pair_terms``, like terms combined and zeros dropped, so the
+    outer rule is looked up only on its nonzero terms, and the outer pair
+    merges each shifted entry of the outer rule at its place in (L, M).
+    For a term c*D^r g of the outer pair's first argument, c'*D^s g' of its
+    second and slot k of (D+v)^s rule(g, g'), that place is L^(k+r) for
+    INNER, M^(k+r) for SWAP, and (L+M)^(k+r) for OUTER."""
+    items = a.bucket, b.bucket, c.bucket
     acc = Accumulator((L, M))
+    data = acc.data
     for shape, outer, inner, sign, *order in terms:
         X, Y, Z = [items[i] for i in order[0]] if order else items
-        if shape == INNER:
-            _pair_into(acc, outer, X, pair(inner, Y, Z, M), ({L: 1}, 0), sign)
-        elif shape == OUTER:
-            _pair_into(acc, outer, pair(inner, X, Y, L), Z, ({L: 1, M: 1}, 0), sign)
-        else:
-            _pair_into(acc, outer, Y, pair(inner, X, Z, L), ({M: 1}, 0), sign)
+        if shape == OUTER:  # {{X_L Y}_{L+M} Z}: the inner value holds L^j
+            for j, g, r, cv in _pair_terms(inner, X, Y):
+                cv = sign * cv if r % 2 == 0 else -sign * cv
+                for (gz, s), cz in Z.items():
+                    for (k,), bk in outer.shifted_entry(g, gz, s).data.items():
+                        for cf, (i, i2), _ in form_power((L, M), _L_PLUS_M, k + r):
+                            _merge(data, (j + i, i2), bk, cv * cz * cf)
+            continue
+        # INNER, {X_L {Y_M Z}}: X at L, the inner value holds M^j; SWAP,
+        # {Y_M {X_L Z}}: Y at M, the inner value holds L^j
+        U, (V, W) = (X, (Y, Z)) if shape == INNER else (Y, (X, Z))
+        vs = _pair_terms(inner, V, W)
+        for (gu, r), cu in U.items():
+            cu = sign * cu if r % 2 == 0 else -sign * cu
+            for j, g, s, cv in vs:
+                c12 = cu * cv
+                for (k,), bk in outer.shifted_entry(gu, g, s).data.items():
+                    _merge(data, (k + r, j) if shape == INNER else (j, k + r), bk, c12)
     return acc
+
+
+def _pair_terms(rule: StructureRule, U: dict, W: dict) -> list[tuple]:
+    """U op_v W for two buckets, as the terms (j, generator, D-power, scalar)
+    of v^j, like terms combined and zero scalars dropped: terms c1*D^p g1 of
+    U and c2*D^q g2 of W add (-1)^p c1 c2 v^p (D+v)^q rule(g1, g2)."""
+    out: dict = {}
+    for (g1, p), c1 in U.items():
+        if p % 2:
+            c1 = -c1
+        for (g2, q), c2 in W.items():
+            c12 = c1 * c2
+            for (k,), bk in rule.shifted_entry(g1, g2, q).data.items():
+                for (g, s), v in bk.items():
+                    key = (k + p, g, s)
+                    out[key] = out.get(key, 0) + c12 * v
+    return [(j, g, s, c) for (j, g, s), c in out.items() if c]
 
 
 def table_residual(terms: Sequence[tuple]) -> Callable[..., LambdaPoly]:
@@ -469,10 +510,17 @@ def law_residual(arity: int, terms: tuple) -> Callable[..., LambdaPoly]:
 
 
 def _pair_comm_residual(prod: StructureRule, sign: int, a, b) -> LambdaPoly:
-    A, B = const_lp(a), const_lp(b)
+    """a o_L b - sign * (b o_{-L-D} a), read straight off the two buckets."""
     acc = Accumulator((L,))
-    _pair_into(acc, prod, A, B, ({L: 1}, 0))
-    _pair_into(acc, prod, B, A, ({L: -1}, -1), -sign)
+    data = acc.data
+    for j, g, s, c in _pair_terms(prod, a.bucket, b.bucket):
+        data.setdefault((j,), {})[g, s] = c
+    for (g2, p), c2 in b.bucket.items():
+        c2 = -sign * c2 if p % 2 == 0 else sign * c2
+        for (g1, q), c1 in a.bucket.items():
+            for (k,), bk in prod.shifted_entry(g2, g1, q).data.items():
+                for cf, e, kd in form_power((L,), _DAGGER, k + p):
+                    _merge(data, e, bk, c2 * c1 * cf, kd)
     return acc.build()
 
 

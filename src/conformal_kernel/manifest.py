@@ -5,7 +5,8 @@ Line-oriented format, ``#`` comments.  ``D`` denotes the derivation symbol,
 values), and neither may name a pattern parameter; rational literals only.  A
 generator index is read by the coefficient grammar and must reduce to an
 integer affine form in the pattern parameters.  A directive word ends at any
-whitespace; a name is declared once, and ``window`` is the only option.
+whitespace; a name is declared once, ``window`` is the only option, and a
+``name``, ``kind``, ``module`` or ``option window`` line comes at most once.
 Example::
 
     name poly_poisson
@@ -259,8 +260,10 @@ class Manifest:
         if not self.deform_defs:
             raise ManifestError("manifest declares no deformation terms")
         orders = sorted(self.deform_defs)
-        if orders != list(range(1, len(orders) + 1)):
-            raise ManifestError(f"deformation orders must be 1..N, got {orders}")
+        for n, k in enumerate(orders, start=1):
+            if k != n:  # at the first line of the first order past the gap
+                raise ManifestError(f"deformation orders must be 1..N, got {orders}",
+                                    self.deform_defs[k][0].line)
         rules = [self._mk_rule("product", self.deform_defs[k]) for k in orders]
         return DeformationSeries(self.algebra(), rules)
 
@@ -573,8 +576,18 @@ def _declare(man: Manifest, fam: GenFamily, line_no: int, col: int) -> None:
     man.families[fam.name] = fam
 
 
+def _once(seen: dict[str, int], what: str, line_no: int, col: int) -> None:
+    """Record a directive that may be given once; a second one is an error
+    at its column, naming the first one's line."""
+    if what in seen:
+        raise ManifestSyntaxError(f"{what} given twice (first on line {seen[what]})",
+                                  line_no, col)
+    seen[what] = line_no
+
+
 def parse(text: str) -> Manifest:
     man = Manifest()
+    seen: dict[str, int] = {}  # a once-only directive -> the line that gave it
     for line_no, raw in enumerate(text.splitlines(), start=1):
         code = raw.split("#", 1)[0]
         line = code.strip()
@@ -586,10 +599,12 @@ def parse(text: str) -> Manifest:
         if head == "name":
             if not rest:
                 raise ManifestSyntaxError("name needs a value", line_no)
+            _once(seen, head, line_no, start - len(head) + 1)
             man.name = rest
         elif head == "kind":
             if rest not in KIND_LAWS:
                 raise ManifestSyntaxError(f"unknown kind {rest!r}", line_no)
+            _once(seen, head, line_no, start - len(head) + 1)
             man.kind = rest
         elif head == "family":
             toks = _tokenize(code, line_no, start)
@@ -630,6 +645,7 @@ def parse(text: str) -> Manifest:
         elif head == "module":
             if rest != "adjoint":
                 raise ManifestSyntaxError("only the adjoint module is declarable", line_no)
+            _once(seen, head, line_no, start - len(head) + 1)
             man.module = rest
         elif head == "option":
             pairs = _key_values(_tokenize(code, line_no, start), line_no)
@@ -638,6 +654,7 @@ def parse(text: str) -> Manifest:
             (k, v), = pairs
             if k[1] != "window":
                 raise ManifestSyntaxError(f"unknown option {k[1]!r}", line_no, k[2])
+            _once(seen, f"option {k[1]}", line_no, k[2])
             man.options[k[1]] = v
         else:
             raise ManifestSyntaxError(f"unknown directive {head!r}", line_no)

@@ -12,17 +12,23 @@ from conformal_kernel.algebra import (
     OUTER,
     RULE_VAR,
     SWAP,
+    L,
+    M,
     ConformalAlgebra,
     GenFamily,
     LinearRule,
     StructureRule,
     WindowEscape,
+    _pair_comm_residual,
+    _pair_into,
     associator,
     check_poisson,
     check_suite,
     commutator_bracket,
+    const_lp,
     eval_op,
     leibniz,
+    nested_sum,
     nth_product_table,
     order_part,
     pair,
@@ -30,9 +36,10 @@ from conformal_kernel.algebra import (
     run_tuple_check,
     suite_passes,
     sweep_status,
+    table_residual,
 )
 from conformal_kernel.constructors import OrdinaryAlgebra
-from conformal_kernel.symcore import DPoly, GenIndex, LambdaPoly, ModElement, gen
+from conformal_kernel.symcore import Accumulator, DPoly, GenIndex, LambdaPoly, ModElement, gen
 
 
 def xg(m):
@@ -429,3 +436,89 @@ class TestPairingKernel:
         U, W = (LambdaPoly.of(("a",), ModElement.of(xg(1))) for _ in range(2))
         with pytest.raises(ValueError, match="variable a missing"):
             pair_at(alg.product, U, W, ({"L": 1}, 0), ("L",))
+
+
+def nested_sum_oracle(terms, a, b, c):
+    """The term table's sum as the engine wrote it before nested_sum read
+    the buckets: each inner pair built by ``pair``, then paired into the
+    accumulator at the shape's form by ``_pair_into``."""
+    items = const_lp(a), const_lp(b), const_lp(c)
+    acc = Accumulator((L, M))
+    for shape, outer, inner, sign, *order in terms:
+        X, Y, Z = [items[i] for i in order[0]] if order else items
+        if shape == INNER:
+            _pair_into(acc, outer, X, pair(inner, Y, Z, M), ({L: 1}, 0), sign)
+        elif shape == OUTER:
+            _pair_into(acc, outer, pair(inner, X, Y, L), Z, ({L: 1, M: 1}, 0), sign)
+        else:
+            _pair_into(acc, outer, Y, pair(inner, X, Z, L), ({M: 1}, 0), sign)
+    return acc.build()
+
+
+def comm_residual_oracle(prod, sign, a, b):
+    """_pair_comm_residual as two _pair_into calls on built values."""
+    A, B = const_lp(a), const_lp(b)
+    acc = Accumulator((L,))
+    _pair_into(acc, prod, A, B, ({L: 1}, 0))
+    _pair_into(acc, prod, B, A, ({L: -1}, -1), -sign)
+    return acc.build()
+
+
+class TestNestedSumOracle:
+    """nested_sum evaluates each term on the buckets of a, b and c; its
+    built value equals the composition of built pairs it replaced."""
+
+    GENS = [gen("x", i) for i in range(3)]
+
+    def random_scalar(self, rng):
+        return Q(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 1, 2, 3]))
+
+    def random_bucket(self, rng):
+        """Up to three terms c * D^k g, k <= 2: several generators."""
+        return ModElement.combine((ModElement.of(rng.choice(self.GENS)), rng.randrange(3),
+                                   self.random_scalar(rng)) for _ in range(rng.randint(1, 3)))
+
+    def random_rule(self, rng, kind):
+        """Each entry a sum of c * v^j * D^k g, j, k <= 2, or zero."""
+        table = {}
+        for g1, g2 in itertools.product(self.GENS, repeat=2):
+            acc = Accumulator((RULE_VAR,))
+            for _ in range(rng.randint(0, 3)):
+                e = ModElement.of(rng.choice(self.GENS), DPoly.d_power(rng.randrange(3)))
+                acc.add_lp(LambdaPoly.of((RULE_VAR,), e, (rng.randrange(3),)), self.random_scalar(rng))
+            table[(g1, g2)] = acc.build()
+        return StructureRule.from_table(kind, table)
+
+    def test_every_shape_and_table(self):
+        rng = random.Random(67)
+        for _ in range(6):
+            p, q, r = (self.random_rule(rng, kind) for kind in ("product", "bracket", "product"))
+            series = {p: [p, r, q]}
+            tables = [((INNER, p, q, 1),), ((OUTER, q, p, -1),), ((SWAP, p, q, 1),),
+                      ((INNER, p, q, 1, (2, 0, 1)), (OUTER, q, p, 1, (1, 2, 0))),
+                      associator(p) + leibniz(p, q), order_part(associator(p), series, 2),
+                      order_part(leibniz(p, q), series, 1, sign=-1)]
+            for _ in range(4):
+                a, b, c = (self.random_bucket(rng) for _ in range(3))
+                for terms in tables:
+                    want = nested_sum_oracle(terms, a, b, c)
+                    assert nested_sum(terms, a, b, c).build() == want, terms
+                for rule, sign in ((p, 1), (q, -1)):
+                    want = comm_residual_oracle(rule, sign, a, b)
+                    assert _pair_comm_residual(rule, sign, a, b) == want
+            assert not want.is_zero()
+
+    def test_a_cancelled_inner_term_is_never_looked_up(self):
+        # {e_M (f + g)} = h - h cancels, and the product has no entry at
+        # (x, h): the outer rule sees only the nonzero inner terms, so the
+        # tuple is checked, not escaped
+        x, e, f, g, h = (gen(name) for name in "xefgh")
+        one = {k: LambdaPoly.of((RULE_VAR,), ModElement.of(h).scale(k)) for k in (1, -1)}
+        prod = StructureRule.from_table("product", {(e, f): one[1], (e, g): one[-1],
+                                                    (x, e): LambdaPoly.zero((RULE_VAR,))},
+                                        total=False)
+        triple = (ModElement.of(x), ModElement.of(e), ModElement.of(f) + ModElement.of(g))
+        report = run_tuple_check("associativity", [triple], table_residual(associator(prod)))
+        assert (report.status, report.checked, report.escaped) == ("pass", 1, 0)
+        with pytest.raises(WindowEscape):
+            prod.shifted_entry(x, h, 0)

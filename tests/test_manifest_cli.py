@@ -199,6 +199,11 @@ class TestDirectiveLines:
         ("generator e\ngenerator e", "family 'e' redeclared", "e"),
         ("generator e\nfamily e arity 1 min 0", "family 'e' redeclared", "e arity"),
         ("option windw 1", "unknown option 'windw'", "windw"),
+        ("name other", "name given twice (first on line 1)", "name"),
+        ("kind lie", "kind given twice (first on line 2)", "kind"),
+        ("module adjoint\nmodule adjoint", "module given twice (first on line 4)", "module"),
+        ("option window 1\n  option window 2", "option window given twice (first on line 4)",
+         "window"),
     ])
     def test_rejected_at_line_and_column(self, tmp_path, capsys, line, message, at):
         text = self.HEAD + line + "\nproduct x[m] x[n] = x[m+n]\n"
@@ -212,6 +217,23 @@ class TestDirectiveLines:
         path.write_text(text)
         assert main(["check", str(path), "--window", "1"]) == 3
         assert capsys.readouterr().err.endswith(f"(line {where[0]}, col {where[1]})\n")
+
+
+    @pytest.mark.parametrize("command", ["deform", "semiclassical"])
+    def test_a_gap_in_the_deformation_orders_names_its_line(self, tmp_path, capsys, command):
+        # demos/ex2_17.alg with its order-1 line written as order 3: orders
+        # [2, 3], and the first past the gap is order 2, on line 12
+        with open(os.path.join(DEMOS, "ex2_17.alg"), encoding="utf-8") as fh:
+            text = fh.read().replace("deform 1 ", "deform 3 ")
+        assert text.splitlines()[11].startswith("deform 2 ")
+        with pytest.raises(ManifestError) as e:
+            parse(text).deformation()
+        assert e.value.line == 12
+        path = tmp_path / "gap.alg"
+        path.write_text(text)
+        assert main([command, str(path), "--window", "1"]) == 3
+        assert capsys.readouterr().err == (
+            "error: deformation orders must be 1..N, got [2, 3] (line 12)\n")
 
 
 class TestRenderer:
