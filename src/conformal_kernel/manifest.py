@@ -596,15 +596,15 @@ def parse(text: str) -> Manifest:
         head = line.split(None, 1)[0]
         rest = line[len(head):].strip()
         start = code.index(line) + len(head)  # token columns count from the line's start
+        if head in ("name", "kind", "module"):
+            _once(seen, head, line_no, start - len(head) + 1)
         if head == "name":
             if not rest:
                 raise ManifestSyntaxError("name needs a value", line_no)
-            _once(seen, head, line_no, start - len(head) + 1)
             man.name = rest
         elif head == "kind":
             if rest not in KIND_LAWS:
                 raise ManifestSyntaxError(f"unknown kind {rest!r}", line_no)
-            _once(seen, head, line_no, start - len(head) + 1)
             man.kind = rest
         elif head == "family":
             toks = _tokenize(code, line_no, start)
@@ -645,7 +645,6 @@ def parse(text: str) -> Manifest:
         elif head == "module":
             if rest != "adjoint":
                 raise ManifestSyntaxError("only the adjoint module is declarable", line_no)
-            _once(seen, head, line_no, start - len(head) + 1)
             man.module = rest
         elif head == "option":
             pairs = _key_values(_tokenize(code, line_no, start), line_no)
